@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .fields import (  # noqa: F401
     Grid,
-    LaxVector,
     SpinorField,
     combined_l2_distance,
-    h1_norm,
     h1_seminorm,
     inner_product,
     l2_norm,
@@ -18,11 +16,9 @@ from .fields import (  # noqa: F401
     write_lax_csv,
 )
 from .solitons import (  # noqa: F401
-    SolitonParams,
     SpectralParameter,
     free_lax_vector,
     lorentz_boost,
-    soliton_charge,
     soliton_eigenvector,
     soliton_field,
     stationary_soliton,
@@ -57,8 +53,6 @@ from .stability import (  # noqa: F401
     ExperimentRecord,
     make_perturbed_initial,
     modulated_distance,
-    run_backlund_pipeline,
-    run_direct,
     run_experiment,
     sweep,
 )

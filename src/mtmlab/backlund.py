@@ -16,35 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVectorError, ParameterError
-from .fields import Grid, LaxVector, SpinorField, d_dx, integrate
+from .fields import Grid, SpinorField, d_dx, integrate
 from .lax import EigenResult, JostPair
+from .solitons import SpectralParameter, require_gamma, require_lambda
 
 #: below this pointwise mass |phi1|^2+|phi2|^2 a Lax vector sample counts as
 #: vanished (a true solution that vanishes anywhere vanishes identically)
 DEGENERATE_FLOOR = 1e-280
 
 
-def _split_lambda(lam: complex) -> tuple[float, float]:
-    lam = complex(lam)
-    if lam == 0:
-        raise ParameterError("lambda must be nonzero")
-    delta = abs(lam)
-    gamma = 2.0 * np.angle(lam)
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError(
-            f"Backlund transformation requires gamma = 2 arg(lambda) in (0, pi), got {gamma}")
-    return delta, gamma
-
-
-def _check_nonvanishing(phi: LaxVector) -> np.ndarray:
-    mass = np.abs(phi.phi1) ** 2 + np.abs(phi.phi2) ** 2
+def _check_nonvanishing(phi: SpinorField) -> np.ndarray:
+    mass = np.abs(phi.u) ** 2 + np.abs(phi.v) ** 2
     if mass.min() < DEGENERATE_FLOOR:
         raise DegenerateVectorError(
             "Lax vector (numerically) vanishes at a grid sample; refusing to divide")
     return mass
 
 
-def backlund_transform(f: SpinorField, phi: LaxVector, lam: complex) -> SpinorField:
+def backlund_transform(f: SpinorField, phi: SpinorField, lam: complex) -> SpinorField:
     """Apply the transformation generated by the Lax vector phi.
 
     The denominators e^{+-i gamma/2}|phi1|^2 + e^{-+i gamma/2}|phi2|^2 have
@@ -53,32 +42,32 @@ def backlund_transform(f: SpinorField, phi: LaxVector, lam: complex) -> SpinorFi
     """
     if f.grid != phi.grid:
         raise ParameterError("field and Lax vector live on different grids")
-    delta, gamma = _split_lambda(lam)
+    p = SpectralParameter(complex(lam))
+    delta, gamma = p.delta, require_gamma(p.gamma)
     _check_nonvanishing(phi)
-    p1 = np.abs(phi.phi1) ** 2
-    p2 = np.abs(phi.phi2) ** 2
+    p1 = np.abs(phi.u) ** 2
+    p2 = np.abs(phi.v) ** 2
     half = np.exp(0.5j * gamma)
     dp = half * p1 + np.conj(half) * p2
     dm = np.conj(dp)
-    cross = np.conj(phi.phi1) * phi.phi2
+    cross = np.conj(phi.u) * phi.v
     s = np.sin(gamma)
     u_new = -f.u * dm / dp + 2j / delta * s * cross / dp
     v_new = -f.v * dp / dm - 2j * delta * s * cross / dm
     return SpinorField(f.grid, u_new, v_new)
 
 
-def pushforward_eigenvector(phi: LaxVector, gamma: float) -> LaxVector:
+def pushforward_eigenvector(phi: SpinorField, gamma: float) -> SpinorField:
     """Lax vector attached to the transformed potential at the same lambda.
 
     psi = (conj(phi2), conj(phi1)) / |e^{i g/2}|phi1|^2 + e^{-i g/2}|phi2|^2|.
     """
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError(f"gamma must lie in (0, pi), got {gamma}")
+    require_gamma(gamma)
     _check_nonvanishing(phi)
-    p1 = np.abs(phi.phi1) ** 2
-    p2 = np.abs(phi.phi2) ** 2
+    p1 = np.abs(phi.u) ** 2
+    p2 = np.abs(phi.v) ** 2
     denom = np.abs(np.exp(0.5j * gamma) * p1 + np.exp(-0.5j * gamma) * p2)
-    return LaxVector(phi.grid, np.conj(phi.phi2) / denom, np.conj(phi.phi1) / denom)
+    return SpinorField(phi.grid, np.conj(phi.v) / denom, np.conj(phi.u) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +87,10 @@ class RiccatiField:
         return int((~self.valid).sum())
 
     @classmethod
-    def from_lax_vector(cls, phi: LaxVector) -> "RiccatiField":
-        mod2 = np.abs(phi.phi2)
+    def from_lax_vector(cls, phi: SpinorField) -> "RiccatiField":
+        mod2 = np.abs(phi.v)
         valid = mod2 >= 1e-300
-        ratio = np.divide(phi.phi1, phi.phi2,
+        ratio = np.divide(phi.u, phi.v,
                           out=np.zeros(phi.grid.n, dtype=np.complex128), where=valid)
         return cls(phi.grid, ratio, valid)
 
@@ -125,9 +114,7 @@ def riccati_residual(g: RiccatiField, f: SpinorField, lam: complex) -> float:
     """
     if g.grid != f.grid:
         raise ParameterError("Riccati field and background live on different grids")
-    lam = complex(lam)
-    if lam == 0:
-        raise ParameterError("lambda must be nonzero")
+    lam = require_lambda(lam)
     rho1 = 0.5 / lam
     rho2 = 0.5 * lam
     gam = g.gamma_var
@@ -172,7 +159,7 @@ def up_map(f_t: SpinorField, jost: JostPair, lam: complex, a: float, theta: floa
         raise ParameterError("field and Jost pair live on different grids")
     c1 = np.exp(0.5 * (a + 1j * theta))
     c2 = 1.0 / c1
-    phi = LaxVector(f_t.grid,
-                    c1 * jost.right.phi1 + c2 * jost.left.phi1,
-                    c1 * jost.right.phi2 + c2 * jost.left.phi2)
+    phi = SpinorField(f_t.grid,
+                      c1 * jost.right.u + c2 * jost.left.u,
+                      c1 * jost.right.v + c2 * jost.left.v)
     return backlund_transform(f_t, phi, lam)

@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .backlund import backlund_transform, up_map
 from .errors import MtmError
@@ -119,16 +117,6 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict, key: str):
-    """flag > config file > default; None means 'not provided anywhere'."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return defaults.get(key)
-
-
 class _Params:
     """Resolved parameters of one subcommand with typed accessors."""
 
@@ -140,7 +128,11 @@ class _Params:
         self.resolved: dict = {}
 
     def _get(self, key: str):
-        return _resolve(self._args, self._config, self._defaults, key)
+        """flag > config file > default; None means 'not provided anywhere'."""
+        flag = getattr(self._args, key, None)
+        if flag is not None:
+            return flag
+        return self._config.get(key, self._defaults.get(key))
 
     def value(self, key: str, cast=None, required: bool = False):
         raw = self._get(key)
@@ -203,17 +195,15 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_eigen(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {"substeps": 1, "out_json": "eigen.json",
-                       "out_eigenvector": "eigenvector.csv"})
+    p = _Params(args, {"out_json": "eigen.json", "out_eigenvector": "eigenvector.csv"})
     field_path = p.value("field", str, required=True)
     guess = complex(p.value("guess_re", float, required=True),
                     p.value("guess_im", float, required=True))
-    substeps = p.value("substeps", int)
     out_json = _resolve_out(p.value("out_json", str))
     out_vec = _resolve_out(p.value("out_eigenvector", str))
 
     f = read_field_csv(field_path)
-    res = find_eigenvalue(f, guess, substeps=substeps)
+    res = find_eigenvalue(f, guess)
     payload = {
         "lambda_re": res.lam.real,
         "lambda_im": res.lam.imag,
@@ -297,11 +287,8 @@ def _cmd_stability(args) -> int:
                        "pipeline": "both", "shape": "gaussian_bump",
                        "out_dir": "stability_run"})
     gamma0 = p.value("gamma0", float, required=True)
-    eps_raw = p.value("epsilon", required=True)
-    if isinstance(eps_raw, str):
-        epsilons = [float(tok) for tok in eps_raw.split(",") if tok.strip()]
-    else:
-        epsilons = [float(e) for e in np.atleast_1d(eps_raw)]
+    eps_raw = p.value("epsilon", required=True)     # comma-separated (see main)
+    epsilons = [float(tok) for tok in eps_raw.split(",") if tok.strip()]
     p.resolved["epsilon"] = epsilons
     seed = p.value("seed", int)
     t_end = p.value("t_end", float)
@@ -375,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", help="input field snapshot CSV")
     sp.add_argument("--guess-re", type=float, dest="guess_re")
     sp.add_argument("--guess-im", type=float, dest="guess_im")
-    sp.add_argument("--substeps", type=int)
     sp.add_argument("--out-json", dest="out_json")
     sp.add_argument("--out-eigenvector", dest="out_eigenvector")
     sp.set_defaults(func=_cmd_eigen)
@@ -428,11 +414,11 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MtmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

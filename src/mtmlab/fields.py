@@ -8,6 +8,8 @@ construction; all operations here are pure.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -23,16 +25,19 @@ LAX_CSV_HEADER = "x,re_phi1,im_phi1,re_phi2,im_phi2"
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid on [x_min, x_max) with n sample points."""
+    """Uniform periodic spatial grid on [x_min, x_max) with n sample points."""
 
     x_min: float
     x_max: float
     n: int
-    periodic: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise FieldValidationError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise FieldValidationError("grid requires x_max > x_min")
+        if not isinstance(self.n, numbers.Integral):
+            raise FieldValidationError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 8:
             raise FieldValidationError("grid requires n >= 8")
 
@@ -47,9 +52,9 @@ class Grid:
         return x
 
     @classmethod
-    def symmetric(cls, half_width: float = 30.0, n: int = 4096, periodic: bool = True) -> "Grid":
+    def symmetric(cls, half_width: float = 30.0, n: int = 4096) -> "Grid":
         """Default laboratory domain [-L, L) with n points."""
-        return cls(-half_width, half_width, n, periodic)
+        return cls(-half_width, half_width, n)
 
 
 def _prepare(grid: Grid, arr, name: str) -> np.ndarray:
@@ -65,7 +70,11 @@ def _prepare(grid: Grid, arr, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpinorField:
-    """The pair (u, v) sampled on a grid: the state of the evolution system."""
+    """A two-component complex field (u, v) sampled on a grid.
+
+    It is the state of the evolution system and, read as (phi1, phi2), a
+    Lax vector; only the CSV headers tell the two roles apart.
+    """
 
     grid: Grid
     u: np.ndarray
@@ -81,58 +90,25 @@ class SpinorField:
         return cls(grid, z, z)
 
 
-@dataclass(frozen=True, eq=False)
-class LaxVector:
-    """A two-component complex field (phi1, phi2) on the grid."""
-
-    grid: Grid
-    phi1: np.ndarray
-    phi2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi1", _prepare(self.grid, self.phi1, "phi1"))
-        object.__setattr__(self, "phi2", _prepare(self.grid, self.phi2, "phi2"))
-
-
-TwoComponent = SpinorField | LaxVector
-
-
-def components(f: TwoComponent) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex component arrays of a SpinorField or LaxVector."""
-    if isinstance(f, SpinorField):
-        return f.u, f.v
-    if isinstance(f, LaxVector):
-        return f.phi1, f.phi2
-    raise TypeError(f"not a two-component field: {type(f)!r}")
-
-
-def same_kind(f: TwoComponent, c1: np.ndarray, c2: np.ndarray) -> TwoComponent:
-    """Rebuild a field of the same kind as f from component arrays."""
-    return type(f)(f.grid, c1, c2)
-
-
 # ---------------------------------------------------------------------------
 # quadrature and norms
 # ---------------------------------------------------------------------------
 
 def integrate(values: np.ndarray, grid: Grid):
-    """Trapezoidal quadrature of grid samples (periodic rule on periodic grids)."""
-    if grid.periodic:
-        return grid.dx * values.sum()
-    return grid.dx * (values.sum() - 0.5 * (values[0] + values[-1]))
+    """Trapezoidal quadrature of grid samples (the periodic rule)."""
+    return grid.dx * values.sum()
 
 
-def l2_norm_sq(f: TwoComponent) -> float:
-    """Squared L2 norm |c1|^2 + |c2|^2 integrated over the grid (the charge)."""
-    c1, c2 = components(f)
-    return float(integrate(np.abs(c1) ** 2 + np.abs(c2) ** 2, f.grid).real)
+def l2_norm_sq(f: SpinorField) -> float:
+    """Squared L2 norm |u|^2 + |v|^2 integrated over the grid (the charge)."""
+    return float(integrate(np.abs(f.u) ** 2 + np.abs(f.v) ** 2, f.grid).real)
 
 
-def l2_norm(f: TwoComponent) -> float:
+def l2_norm(f: SpinorField) -> float:
     return float(np.sqrt(l2_norm_sq(f)))
 
 
-def inner_product(f: TwoComponent, g: TwoComponent) -> complex:
+def inner_product(f: SpinorField, g: SpinorField) -> complex:
     """L2 pairing <f, g> = int (conj(f1) g1 + conj(f2) g2) dx.
 
     Conjugate-linear in the first slot.  Raises GridMismatchError if the
@@ -140,25 +116,20 @@ def inner_product(f: TwoComponent, g: TwoComponent) -> complex:
     """
     if f.grid != g.grid:
         raise GridMismatchError("inner_product requires fields on the same grid")
-    f1, f2 = components(f)
-    g1, g2 = components(g)
-    return complex(integrate(np.conj(f1) * g1 + np.conj(f2) * g2, f.grid))
+    return complex(integrate(np.conj(f.u) * g.u + np.conj(f.v) * g.v, f.grid))
 
 
-def combined_l2_distance(f: TwoComponent, g: TwoComponent) -> float:
+def combined_l2_distance(f: SpinorField, g: SpinorField) -> float:
     """||f1 - g1||_L2 + ||f2 - g2||_L2, the norm-sum convention used throughout."""
     if f.grid != g.grid:
         raise GridMismatchError("distance requires fields on the same grid")
-    f1, f2 = components(f)
-    g1, g2 = components(g)
-    d1 = np.sqrt(integrate(np.abs(f1 - g1) ** 2, f.grid))
-    d2 = np.sqrt(integrate(np.abs(f2 - g2) ** 2, f.grid))
+    d1 = np.sqrt(integrate(np.abs(f.u - g.u) ** 2, f.grid))
+    d2 = np.sqrt(integrate(np.abs(f.v - g.v) ** 2, f.grid))
     return float(d1 + d2)
 
 
-def sup_norm(f: TwoComponent) -> float:
-    c1, c2 = components(f)
-    return float(max(np.abs(c1).max(), np.abs(c2).max()))
+def sup_norm(f: SpinorField) -> float:
+    return float(max(np.abs(f.u).max(), np.abs(f.v).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -166,44 +137,21 @@ def sup_norm(f: TwoComponent) -> float:
 # ---------------------------------------------------------------------------
 
 def d_dx(arr: np.ndarray, grid: Grid, accuracy: int = 2) -> np.ndarray:
-    """First derivative by centered differences (accuracy 2 or 4).
-
-    Periodic grids wrap the stencil; otherwise one-sided formulas of the
-    same order close the boundary.
-    """
+    """First derivative by periodic centered differences (accuracy 2 or 4)."""
     h = grid.dx
     if accuracy == 2:
-        if grid.periodic:
-            return (np.roll(arr, -1) - np.roll(arr, 1)) / (2 * h)
-        out = np.empty_like(arr)
-        out[1:-1] = (arr[2:] - arr[:-2]) / (2 * h)
-        out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * h)
-        out[-1] = (3 * arr[-1] - 4 * arr[-2] + arr[-3]) / (2 * h)
-        return out
+        return (np.roll(arr, -1) - np.roll(arr, 1)) / (2 * h)
     if accuracy == 4:
-        if grid.periodic:
-            return (np.roll(arr, 2) - 8 * np.roll(arr, 1)
-                    + 8 * np.roll(arr, -1) - np.roll(arr, -2)) / (12 * h)
-        out = np.empty_like(arr)
-        out[2:-2] = (arr[:-4] - 8 * arr[1:-3] + 8 * arr[3:-1] - arr[4:]) / (12 * h)
-        out[0] = (-25 * arr[0] + 48 * arr[1] - 36 * arr[2] + 16 * arr[3] - 3 * arr[4]) / (12 * h)
-        out[1] = (-3 * arr[0] - 10 * arr[1] + 18 * arr[2] - 6 * arr[3] + arr[4]) / (12 * h)
-        out[-2] = (3 * arr[-1] + 10 * arr[-2] - 18 * arr[-3] + 6 * arr[-4] - arr[-5]) / (12 * h)
-        out[-1] = (25 * arr[-1] - 48 * arr[-2] + 36 * arr[-3] - 16 * arr[-4] + 3 * arr[-5]) / (12 * h)
-        return out
+        return (np.roll(arr, 2) - 8 * np.roll(arr, 1)
+                + 8 * np.roll(arr, -1) - np.roll(arr, -2)) / (12 * h)
     raise ValueError("accuracy must be 2 or 4")
 
 
-def h1_seminorm(f: TwoComponent) -> float:
+def h1_seminorm(f: SpinorField) -> float:
     """L2 norm of the centered-difference spatial derivative (H1 diagnostic)."""
-    c1, c2 = components(f)
-    d1 = d_dx(c1, f.grid)
-    d2 = d_dx(c2, f.grid)
+    d1 = d_dx(f.u, f.grid)
+    d2 = d_dx(f.v, f.grid)
     return float(np.sqrt(integrate(np.abs(d1) ** 2 + np.abs(d2) ** 2, f.grid).real))
-
-
-def h1_norm(f: TwoComponent) -> float:
-    return float(np.sqrt(l2_norm_sq(f) + h1_seminorm(f) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +192,6 @@ class CellSampler:
 
     def __init__(self, grid: Grid):
         n = grid.n
-        if n < 8:
-            raise FieldValidationError("CellSampler needs n >= 8")
         self.grid = grid
         j = np.arange(n - 1)
         s = np.clip(j - 1, 0, n - 4)
@@ -273,14 +219,6 @@ class CellSampler:
         out[0] = 0.0
         np.cumsum(cell, out=out[1:])
         return out
-
-
-def cumulative_trapezoid(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cumulative trapezoid from x_min, zero at the first node."""
-    out = np.empty(grid.n, dtype=values.dtype)
-    out[0] = 0.0
-    np.cumsum(0.5 * grid.dx * (values[1:] + values[:-1]), out=out[1:])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +251,9 @@ def write_field_csv(f: SpinorField, path: str) -> None:
     _atomic_write_text(path, _format_rows(f.grid.x, f.u, f.v, FIELD_CSV_HEADER))
 
 
-def write_lax_csv(vec: LaxVector, path: str) -> None:
+def write_lax_csv(vec: SpinorField, path: str) -> None:
     """Write a Lax-vector snapshot: columns x,re_phi1,im_phi1,re_phi2,im_phi2."""
-    _atomic_write_text(path, _format_rows(vec.grid.x, vec.phi1, vec.phi2, LAX_CSV_HEADER))
+    _atomic_write_text(path, _format_rows(vec.grid.x, vec.u, vec.v, LAX_CSV_HEADER))
 
 
 def _read_rows(path: str, expected_header: str):
@@ -342,6 +280,6 @@ def read_field_csv(path: str) -> SpinorField:
     return SpinorField(grid, u, v)
 
 
-def read_lax_csv(path: str) -> LaxVector:
+def read_lax_csv(path: str) -> SpinorField:
     grid, p1, p2 = _read_rows(path, LAX_CSV_HEADER)
-    return LaxVector(grid, p1, p2)
+    return SpinorField(grid, p1, p2)

@@ -11,7 +11,7 @@ finds its roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,23 @@ from .errors import (
 from .fields import (
     CellSampler,
     Grid,
-    LaxVector,
     SpinorField,
-    cumulative_trapezoid,
-    d_dx,
     inner_product,
     integrate,
     l2_norm,
 )
-from .solitons import csech, stationary_soliton
-
-#: substep count for the one-step Jost integrator; the overall error is
-#: dominated by the O(dx^4) field interpolation, so 1 is the right default
-DEFAULT_SUBSTEPS = 1
+from .solitons import (  # noqa: F401  (csech stays a module attribute bench/tracing.py counts)
+    SpectralParameter,
+    csech,
+    require_gamma,
+    require_lambda,
+    soliton_eigenvector,
+)
 
 EVANS_TOL = 1e-10
 MAX_SECANT_ITERATIONS = 50
+#: resolvent_solve projects away an eta part below this relative size
+ORTHOGONALITY_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -58,24 +59,10 @@ class LaxOperatorSample:
     a21: np.ndarray
     a22: np.ndarray
 
-    def apply(self, vec: LaxVector) -> LaxVector:
-        if vec.grid != self.grid:
-            raise ParameterError("operator and vector live on different grids")
-        return LaxVector(self.grid,
-                         self.a11 * vec.phi1 + self.a12 * vec.phi2,
-                         self.a21 * vec.phi1 + self.a22 * vec.phi2)
-
-
-def _check_lambda(lam: complex) -> complex:
-    lam = complex(lam)
-    if lam == 0:
-        raise ParameterError("lambda must be nonzero")
-    return lam
-
 
 def assemble_L(f: SpinorField, lam: complex) -> LaxOperatorSample:
     """Spatial Lax operator: traceless, diagonal (i/4)(|u|^2-|v|^2+lam^2-lam^-2)."""
-    lam = _check_lambda(lam)
+    lam = require_lambda(lam)
     u, v = f.u, f.v
     diag = 0.25j * (np.abs(u) ** 2 - np.abs(v) ** 2 + lam ** 2 - lam ** -2)
     a12 = 0.5j * (np.conj(u) / lam - np.conj(v) * lam)
@@ -85,7 +72,7 @@ def assemble_L(f: SpinorField, lam: complex) -> LaxOperatorSample:
 
 def assemble_A(f: SpinorField, lam: complex) -> LaxOperatorSample:
     """Temporal Lax operator: traceless, diagonal (i/4)(lam^2+lam^-2-|u|^2-|v|^2)."""
-    lam = _check_lambda(lam)
+    lam = require_lambda(lam)
     u, v = f.u, f.v
     diag = 0.25j * (-(np.abs(u) ** 2 + np.abs(v) ** 2) + lam ** 2 + lam ** -2)
     a12 = -0.5j * (np.conj(u) / lam + np.conj(v) * lam)
@@ -93,44 +80,24 @@ def assemble_A(f: SpinorField, lam: complex) -> LaxOperatorSample:
     return LaxOperatorSample(f.grid, diag, a12, a21, -diag)
 
 
-def spatial_residual(op: LaxOperatorSample, vec: LaxVector, trim: int = 2) -> float:
-    """L2 norm of (d/dx - op) vec, centered 4th-order stencil, edges trimmed."""
-    r1 = d_dx(vec.phi1, vec.grid, accuracy=4) - (op.a11 * vec.phi1 + op.a12 * vec.phi2)
-    r2 = d_dx(vec.phi2, vec.grid, accuracy=4) - (op.a21 * vec.phi1 + op.a22 * vec.phi2)
-    if trim:
-        r1 = r1[trim:-trim]
-        r2 = r2[trim:-trim]
-    return float(np.sqrt(op.grid.dx * np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # gauge transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GaugePhase:
-    """Unit-modulus diagonal phases removing the |u|^2-|v|^2 term from L.
+def _phase_density(f: SpinorField) -> np.ndarray:
+    return 0.25 * (np.abs(f.u) ** 2 - np.abs(f.v) ** 2)
 
-    m1 accumulates from the left edge, m2 from the right edge; their product
-    is constant in x and equals the total phase exp((i/4) int (|u|^2-|v|^2)).
+
+def gauge_transform(f: SpinorField) -> np.ndarray:
+    """Gauge phase A(x) = (1/4) int_{x_min}^x (|u|^2 - |v|^2), zero at x_min.
+
+    The running integral uses the cumulative cubic rule of `CellSampler`.
+    The unit-modulus gauge that removes the |u|^2-|v|^2 term from L scales
+    (phi1, phi2) by (m, conj(m)), with m1 = e^{iA} based at the left edge or
+    m2 = e^{i(A(x_last) - A)} based at the right edge; m1 m2 is the constant
+    total phase.
     """
-
-    grid: Grid
-    m1: np.ndarray
-    m2: np.ndarray
-
-    @property
-    def total_phase(self) -> complex:
-        return complex(self.m1[-1] * self.m2[-1])
-
-
-def gauge_transform(f: SpinorField) -> GaugePhase:
-    """Cumulative-trapezoid gauge phases of a field."""
-    w = 0.25 * (np.abs(f.u) ** 2 - np.abs(f.v) ** 2)
-    acc = cumulative_trapezoid(w, f.grid)
-    m1 = np.exp(1j * acc)
-    m2 = np.exp(1j * (acc[-1] - acc))
-    return GaugePhase(f.grid, m1, m2)
+    return CellSampler(f.grid).running_integral(_phase_density(f))
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +108,12 @@ def gauge_transform(f: SpinorField) -> GaugePhase:
 class JostPair:
     """One-sided solutions of the spatial problem in the original variables.
 
-    `left` is recessive as x -> -inf, `right` as x -> +inf; `normalization`
-    records the asymptotic conventions (and any time-BVP boundary phases).
+    `left` is recessive as x -> -inf, `right` as x -> +inf.
     """
 
     lam: complex
-    left: LaxVector
-    right: LaxVector
-    normalization: dict = field(default_factory=dict)
-
-
-def _k1_of(lam: complex) -> complex:
-    l2 = lam ** 2
-    return 0.25j * (l2 - 1 / l2)
-
-
-def _k2_of(lam: complex) -> complex:
-    l2 = lam ** 2
-    return 0.25 * (l2 + 1 / l2)
+    left: SpinorField
+    right: SpinorField
 
 
 def _rk4_transfer(ma, mm, mb, h):
@@ -196,23 +151,22 @@ def _propagate(transfers: np.ndarray, w0, forward: bool) -> np.ndarray:
 
 
 class _JostWorkspace:
-    """Per-(field, substeps) precomputation shared by repeated lambda solves."""
+    """Per-field precomputation shared by repeated lambda solves.
 
-    def __init__(self, f: SpinorField, substeps: int):
+    Each cell is crossed by one RK4 step, so the field and the gauge phase
+    are needed at the cell start, midpoint and end.
+    """
+
+    def __init__(self, f: SpinorField):
         grid = f.grid
         self.grid = grid
-        self.substeps = substeps
         cs = CellSampler(grid)
-        taus = np.linspace(0.0, 1.0, 2 * substeps + 1)
-        self.taus = taus
+        taus = (0.0, 0.5, 1.0)
         # field values at all RK nodes of every cell, (ncell, nnode)
         self.u_nodes = cs.values(f.u, taus)
         self.v_nodes = cs.values(f.v, taus)
-        w = 0.25 * (np.abs(f.u) ** 2 - np.abs(f.v) ** 2)
-        acc = cs.running_integral(w)                       # (n,) at grid nodes
-        self.acc_nodes = acc[:-1, None] + cs.cell_integrals(w, taus)
-        self.acc_total = acc[-1]
-        self.acc_grid = acc
+        self.acc_grid = acc = gauge_transform(f)           # (n,) at grid nodes
+        self.acc_nodes = acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)
 
     def _offdiag(self, lam: complex, acc: np.ndarray, p_phase_sign: int):
         """Gauge-frame off-diagonal entries at all nodes.
@@ -227,21 +181,6 @@ class _JostWorkspace:
         q = 0.5j * (self.u_nodes / lam - self.v_nodes * lam) / e
         return p, q
 
-    def _transfers(self, m_nodes: np.ndarray, forward: bool) -> np.ndarray:
-        h = self.grid.dx / self.substeps
-        if not forward:
-            h = -h
-        ncell = m_nodes.shape[0]
-        total = None
-        sub = range(self.substeps) if forward else range(self.substeps - 1, -1, -1)
-        for k in sub:
-            ia, im, ib = 2 * k, 2 * k + 1, 2 * k + 2
-            if not forward:
-                ia, ib = ib, ia
-            s = _rk4_transfer(m_nodes[:, ia], m_nodes[:, im], m_nodes[:, ib], h)
-            total = s if total is None else np.matmul(s, total)
-        return total
-
     def reduced(self, lam: complex, side: str) -> np.ndarray:
         """Reduced Jost trajectory (n, 2) for the requested side.
 
@@ -250,7 +189,7 @@ class _JostWorkspace:
         side='right': factor exp(+x k1), gauge from the right edge, init (1, 0).
         Orientation with Re k1 > 0 swaps the factored envelopes.
         """
-        k1 = _k1_of(lam)
+        k1 = SpectralParameter(lam).k1
         swapped = k1.real > 0
         ncell, nnode = self.u_nodes.shape
         m = np.empty((ncell, nnode, 2, 2), dtype=np.complex128)
@@ -259,32 +198,29 @@ class _JostWorkspace:
             forward = True
             env_type = ("minus", "plus")[swapped]
         else:
-            p, q = self._offdiag(lam, self.acc_total - self.acc_nodes, +1)
+            p, q = self._offdiag(lam, self.acc_grid[-1] - self.acc_nodes, +1)
             forward = False
             env_type = ("plus", "minus")[swapped]
+        m[..., 0, 1] = p
+        m[..., 1, 0] = q
         if env_type == "minus":
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
             m[..., 0, 0] = 2.0 * k1
-            m[..., 0, 1] = p
-            m[..., 1, 0] = q
             m[..., 1, 1] = 0.0
             init = (0.0, 1.0)
         else:
             # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
             m[..., 0, 0] = 0.0
-            m[..., 0, 1] = p
-            m[..., 1, 0] = q
             m[..., 1, 1] = -2.0 * k1
             init = (1.0, 0.0)
-        transfers = self._transfers(m, forward)
+        if forward:
+            transfers = _rk4_transfer(m[:, 0], m[:, 1], m[:, 2], self.grid.dx)
+        else:
+            transfers = _rk4_transfer(m[:, 2], m[:, 1], m[:, 0], -self.grid.dx)
         return _propagate(transfers, init, forward)
 
 
-def _envelopes(grid: Grid, k1: complex, sign: int):
-    return np.exp(sign * k1 * grid.x)
-
-
-def solve_jost(f: SpinorField, lam: complex, substeps: int = DEFAULT_SUBSTEPS,
+def solve_jost(f: SpinorField, lam: complex,
                _workspace: _JostWorkspace | None = None) -> JostPair:
     """Integrate the spatial problem from each edge with free asymptotics.
 
@@ -292,45 +228,37 @@ def solve_jost(f: SpinorField, lam: complex, substeps: int = DEFAULT_SUBSTEPS,
     left(x_min) = (0, exp(-k1 x_min)) and right(x_last) = (exp(k1 x_last), 0)
     exactly, where x_last is the last grid sample.
     """
-    lam = _check_lambda(lam)
+    lam = require_lambda(lam)
     l2 = lam ** 2
     if abs(l2.imag) <= 1e-12 * abs(l2):
         raise DegenerateExponentError(
             "lambda^2 is (numerically) real: spatial exponents degenerate")
-    ws = _workspace if _workspace is not None else _JostWorkspace(f, substeps)
+    ws = _workspace if _workspace is not None else _JostWorkspace(f)
     grid = ws.grid
-    k1 = _k1_of(lam)
+    k1 = SpectralParameter(lam).k1
     swapped = k1.real > 0
 
     wl = ws.reduced(lam, "left")
     wr = ws.reduced(lam, "right")
 
     m1 = np.exp(1j * ws.acc_grid)
-    m2 = np.exp(1j * (ws.acc_total - ws.acc_grid))
+    m2 = np.exp(1j * (ws.acc_grid[-1] - ws.acc_grid))
 
     sign_left = +1 if swapped else -1     # left envelope exp(sign * k1 * x)
-    env_l = _envelopes(grid, k1, sign_left)
-    env_r = _envelopes(grid, k1, -sign_left)
-    left = LaxVector(grid, m1 * env_l * wl[:, 0], np.conj(m1) * env_l * wl[:, 1])
-    right = LaxVector(grid, np.conj(m2) * env_r * wr[:, 0], m2 * env_r * wr[:, 1])
-    norm = {
-        "left": "(0, exp(-k1 x)) as x -> x_min" if not swapped else "(exp(k1 x), 0) as x -> x_min",
-        "right": "(exp(k1 x), 0) as x -> x_last" if not swapped else "(0, exp(-k1 x)) as x -> x_last",
-        "k1": k1,
-        "x_min": float(grid.x[0]),
-        "x_last": float(grid.x[-1]),
-        "substeps": substeps,
-    }
-    return JostPair(lam, left, right, norm)
+    env_l = np.exp(sign_left * k1 * grid.x)
+    env_r = np.exp(-sign_left * k1 * grid.x)
+    left = SpinorField(grid, m1 * env_l * wl[:, 0], np.conj(m1) * env_l * wl[:, 1])
+    right = SpinorField(grid, np.conj(m2) * env_r * wr[:, 0], m2 * env_r * wr[:, 1])
+    return JostPair(lam, left, right)
 
 
-def evans_function(f: SpinorField, lam: complex, substeps: int = DEFAULT_SUBSTEPS,
+def evans_function(f: SpinorField, lam: complex,
                    _workspace: _JostWorkspace | None = None) -> complex:
     """Wronskian of the unit-rescaled Jost solutions at x ~ 0; zero iff eigenvalue."""
-    pair = solve_jost(f, lam, substeps, _workspace)
+    pair = solve_jost(f, lam, _workspace)
     j0 = int(np.argmin(np.abs(f.grid.x)))
-    l1, l2_ = pair.left.phi1[j0], pair.left.phi2[j0]
-    r1, r2 = pair.right.phi1[j0], pair.right.phi2[j0]
+    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
+    r1, r2 = pair.right.u[j0], pair.right.v[j0]
     nl = np.sqrt(abs(l1) ** 2 + abs(l2_) ** 2)
     nr = np.sqrt(abs(r1) ** 2 + abs(r2) ** 2)
     if nl == 0 or nr == 0:
@@ -343,25 +271,25 @@ class EigenResult:
     """Converged eigenvalue with its normalized decaying eigenvector."""
 
     lam: complex
-    eigenvector: LaxVector
+    eigenvector: SpinorField
     evans_residual: float
     iterations: int
 
 
-def _splice_eigenvector(pair: JostPair) -> LaxVector:
+def _splice_eigenvector(pair: JostPair) -> SpinorField:
     """Combine left (x <= 0) and rescaled right (x > 0) into one decaying vector."""
     grid = pair.left.grid
     j0 = int(np.argmin(np.abs(grid.x)))
-    l1, l2_ = pair.left.phi1[j0], pair.left.phi2[j0]
-    r1, r2 = pair.right.phi1[j0], pair.right.phi2[j0]
+    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
+    r1, r2 = pair.right.u[j0], pair.right.v[j0]
     denom = abs(r1) ** 2 + abs(r2) ** 2
     if denom == 0:
         raise DegenerateVectorError("right Jost solution vanished at the matching point")
     c = (l1 * np.conj(r1) + l2_ * np.conj(r2)) / denom
-    phi1 = np.concatenate([pair.left.phi1[: j0 + 1], c * pair.right.phi1[j0 + 1:]])
-    phi2 = np.concatenate([pair.left.phi2[: j0 + 1], c * pair.right.phi2[j0 + 1:]])
+    phi1 = np.concatenate([pair.left.u[: j0 + 1], c * pair.right.u[j0 + 1:]])
+    phi2 = np.concatenate([pair.left.v[: j0 + 1], c * pair.right.v[j0 + 1:]])
     # normalize and fix the phase at the modulus peak
-    vec = LaxVector(grid, phi1, phi2)
+    vec = SpinorField(grid, phi1, phi2)
     nrm = l2_norm(vec)
     if nrm == 0:
         raise DegenerateVectorError("eigenvector is identically zero")
@@ -369,29 +297,26 @@ def _splice_eigenvector(pair: JostPair) -> LaxVector:
     jp = int(np.argmax(mag))
     comp = phi1[jp] if abs(phi1[jp]) >= abs(phi2[jp]) else phi2[jp]
     rot = np.conj(comp) / abs(comp)
-    return LaxVector(grid, phi1 * rot / nrm, phi2 * rot / nrm)
+    return SpinorField(grid, phi1 * rot / nrm, phi2 * rot / nrm)
 
 
-def find_eigenvalue(f: SpinorField, lambda_guess: complex,
-                    substeps: int = DEFAULT_SUBSTEPS,
-                    tol: float = EVANS_TOL,
-                    max_iterations: int = MAX_SECANT_ITERATIONS) -> EigenResult:
+def find_eigenvalue(f: SpinorField, lambda_guess: complex) -> EigenResult:
     """Secant iteration on the Evans function from a complex guess.
 
     Converges quadratically-ish near a simple root; raises NoEigenvalueError
     when the iteration stalls, leaves the guess neighborhood, or fails to
-    reach |E| < tol within max_iterations.
+    reach |E| < EVANS_TOL within MAX_SECANT_ITERATIONS.
     """
-    lambda_guess = _check_lambda(lambda_guess)
-    ws = _JostWorkspace(f, substeps)
+    lambda_guess = require_lambda(lambda_guess)
+    ws = _JostWorkspace(f)
     lam0 = complex(lambda_guess)
     lam1 = lam0 * (1.0 + 1e-3)
-    e0 = evans_function(f, lam0, substeps, ws)
-    e1 = evans_function(f, lam1, substeps, ws)
+    e0 = evans_function(f, lam0, ws)
+    e1 = evans_function(f, lam1, ws)
     best = (abs(e1), lam1)
-    for it in range(1, max_iterations + 1):
-        if abs(e1) < tol:
-            pair = solve_jost(f, lam1, substeps, ws)
+    for it in range(1, MAX_SECANT_ITERATIONS + 1):
+        if abs(e1) < EVANS_TOL:
+            pair = solve_jost(f, lam1, ws)
             return EigenResult(lam1, _splice_eigenvector(pair), abs(e1), it)
         de = e1 - e0
         if abs(de) < 1e-300:
@@ -406,11 +331,11 @@ def find_eigenvalue(f: SpinorField, lambda_guess: complex,
         if abs(lam1 - lambda_guess) > 0.5 * abs(lambda_guess):
             raise NoEigenvalueError(
                 f"secant iterate left the guess neighborhood: {lam1}")
-        e1 = evans_function(f, lam1, substeps, ws)
+        e1 = evans_function(f, lam1, ws)
         if abs(e1) < best[0]:
             best = (abs(e1), lam1)
     raise NoEigenvalueError(
-        f"no convergence in {max_iterations} iterations; best |E| = {best[0]:.3e} "
+        f"no convergence in {MAX_SECANT_ITERATIONS} iterations; best |E| = {best[0]:.3e} "
         f"at lambda = {best[1]}")
 
 
@@ -418,97 +343,79 @@ def find_eigenvalue(f: SpinorField, lambda_guess: complex,
 # explicit kernel machinery at the soliton (unit-circle lambda)
 # ---------------------------------------------------------------------------
 
-def _sech_mod(gamma: float, grid: Grid) -> np.ndarray:
-    return np.abs(csech(grid.x * np.sin(gamma) - 0.5j * gamma))
-
-
-def null_vectors(gamma: float, grid: Grid) -> tuple[LaxVector, LaxVector, LaxVector]:
+def null_vectors(gamma: float, grid: Grid) -> tuple[SpinorField, SpinorField, SpinorField]:
     """Closed-form kernel vectors at the soliton: (phi, eta, xi).
 
-    phi spans ker(d/dx - M_gamma), eta the adjoint kernel, and xi is the
-    second, exponentially growing solution of the same homogeneous system.
+    phi spans ker(d/dx - M_gamma) and is the soliton eigenvector at t = 0,
+    eta the adjoint kernel, and xi is the second, exponentially growing
+    solution of the same homogeneous system.
     """
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError(f"gamma must lie in (0, pi), got {gamma}")
-    s = np.sin(gamma)
+    phi = soliton_eigenvector(gamma, 0.0, grid)
     x = grid.x
-    q = _sech_mod(gamma, grid)
-    ep = np.exp(0.5 * x * s)
-    em = 1.0 / ep
-    phi = LaxVector(grid, ep * q, em * q)
-    eta = LaxVector(grid, em * q, -ep * q)
-    grow = np.exp(2.0 * x * s)
+    grow = np.exp(2.0 * x * np.sin(gamma))
     sl = np.sin(2.0 * gamma) * x
-    xi = LaxVector(grid,
-                   ep * (1.0 / grow - sl) * q,
-                   -em * (grow + 2.0 * np.cos(gamma) + sl) * q)
+    eta = SpinorField(grid, phi.v, -phi.u)
+    xi = SpinorField(grid, phi.u * (1.0 / grow - sl),
+                     -phi.v * (grow + 2.0 * np.cos(gamma) + sl))
     return phi, eta, xi
 
 
-def _sigma3(vec: LaxVector) -> LaxVector:
-    return LaxVector(vec.grid, vec.phi1, -vec.phi2)
+def _sigma3(vec: SpinorField) -> SpinorField:
+    return SpinorField(vec.grid, vec.u, -vec.v)
 
 
-def project_P(gamma: float, v: LaxVector) -> LaxVector:
+def project_P(gamma: float, v: SpinorField) -> SpinorField:
     """Spectral projection P v = v - (<s3 eta, v>/<s3 eta, phi>) phi."""
     phi, eta, _ = null_vectors(gamma, v.grid)
     s3eta = _sigma3(eta)
     coef = inner_product(s3eta, v) / inner_product(s3eta, phi)
-    return LaxVector(v.grid, v.phi1 - coef * phi.phi1, v.phi2 - coef * phi.phi2)
+    return SpinorField(v.grid, v.u - coef * phi.u, v.v - coef * phi.v)
 
 
-def project_P_hat(gamma: float, v: LaxVector) -> LaxVector:
+def project_P_hat(gamma: float, v: SpinorField) -> SpinorField:
     """Conjugated projection s3 P s3: removes the eta-component of v."""
     phi, eta, _ = null_vectors(gamma, v.grid)
     s3phi = _sigma3(phi)
     coef = inner_product(eta, v) / inner_product(_sigma3(eta), phi)
-    return LaxVector(v.grid, v.phi1 - coef * s3phi.phi1, v.phi2 - coef * s3phi.phi2)
+    return SpinorField(v.grid, v.u - coef * s3phi.u, v.v - coef * s3phi.v)
 
 
-def resolvent_solve(gamma: float, f: LaxVector, reltol: float = 1e-6) -> LaxVector:
+def resolvent_solve(gamma: float, f: SpinorField) -> SpinorField:
     """Solve (d/dx - M_gamma) w = f subject to <s3 eta, w> = 0.
 
     Variation of parameters with the explicit fundamental system (phi, xi);
     the Wronskian of that pair is the constant -4.  Requires f orthogonal to
-    eta (the adjoint kernel); violations below `reltol` (relative) are
-    projected away, larger ones raise OrthogonalityError.
+    eta (the adjoint kernel); violations below ORTHOGONALITY_RTOL (relative)
+    are projected away, larger ones raise OrthogonalityError.
     """
     phi, eta, xi = null_vectors(gamma, f.grid)
     fn = l2_norm(f)
     if fn == 0.0:
-        return LaxVector(f.grid, np.zeros(f.grid.n), np.zeros(f.grid.n))
+        return SpinorField(f.grid, np.zeros(f.grid.n), np.zeros(f.grid.n))
     viol = abs(inner_product(eta, f)) / (l2_norm(eta) * fn)
-    if viol > reltol:
+    if viol > ORTHOGONALITY_RTOL:
         raise OrthogonalityError(
-            f"f has an eta-component (relative size {viol:.3e} > {reltol:.1e}); "
+            f"f has an eta-component (relative size {viol:.3e} > {ORTHOGONALITY_RTOL:.1e}); "
             "the inhomogeneous equation is not solvable in L2")
     f = project_P_hat(gamma, f)
 
     grid = f.grid
-    s = np.sin(gamma)
-    x = grid.x
-    q = _sech_mod(gamma, grid)
     cs = CellSampler(grid)
-
-    g_minus = np.exp(-0.5 * x * s) * (np.exp(2.0 * x * s) + 2.0 * np.cos(gamma)
-                                      + x * np.sin(2.0 * gamma)) * q * f.phi1
-    g_plus = np.exp(-1.5 * x * s) * (-1.0 + np.exp(2.0 * x * s) * x * np.sin(2.0 * gamma)) \
-        * q * f.phi2
-    w_minus = cs.running_integral(g_minus)
-    cum_plus = cs.running_integral(g_plus)
+    w_minus = cs.running_integral(-xi.v * f.u)
+    cum_plus = cs.running_integral(-xi.u * f.v)
     w_plus = cum_plus[-1] - cum_plus
-    eta_dot_f = eta.phi1 * f.phi1 + eta.phi2 * f.phi2      # bilinear pairing (eta is real)
+    eta_dot_f = eta.u * f.u + eta.v * f.v      # bilinear pairing (eta is real)
     j_acc = cs.running_integral(eta_dot_f)
 
     s3eta = _sigma3(eta)
     scale = inner_product(s3eta, phi)
     wsum = w_minus + w_plus
-    num = (integrate(np.conj(s3eta.phi1) * (phi.phi1 * wsum + xi.phi1 * j_acc)
-                     + np.conj(s3eta.phi2) * (phi.phi2 * wsum + xi.phi2 * j_acc), grid))
+    num = (integrate(np.conj(s3eta.u) * (phi.u * wsum + xi.u * j_acc)
+                     + np.conj(s3eta.v) * (phi.v * wsum + xi.v * j_acc), grid))
     k = -num / scale
-    w1 = 0.25 * (phi.phi1 * (k + wsum) + xi.phi1 * j_acc)
-    w2 = 0.25 * (phi.phi2 * (k + wsum) + xi.phi2 * j_acc)
-    return LaxVector(grid, w1, w2)
+    w1 = 0.25 * (phi.u * (k + wsum) + xi.u * j_acc)
+    w2 = 0.25 * (phi.v * (k + wsum) + xi.v * j_acc)
+    return SpinorField(grid, w1, w2)
 
 
 def s_constant(gamma: float) -> complex:
@@ -517,8 +424,7 @@ def s_constant(gamma: float) -> complex:
     Evaluated on a dedicated fine grid; disagreement with the closed form
     beyond 1e-6 relative raises IntegrationError.
     """
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError(f"gamma must lie in (0, pi), got {gamma}")
+    require_gamma(gamma)
     s = np.sin(gamma)
     c = np.cos(gamma)
     half = max(30.0, 16.0 / s)
@@ -559,22 +465,18 @@ class EigenvectorRemainder:
     norms: dict
     scale: complex
     gauge: np.ndarray
-    eigenvector: LaxVector
+    eigenvector: SpinorField
 
-    def reconstruct(self) -> LaxVector:
+    def reconstruct(self) -> SpinorField:
         """Rebuild the eigenvector from the remainders (exact on the window)."""
-        x = self.grid.x
-        s = np.sin(self.gamma)
-        q = _sech_mod(self.gamma, self.grid)
-        ep = np.exp(0.5 * x * s)
-        em = 1.0 / ep
-        phi1 = (ep * (1.0 + self.r11) + em * self.r12) * q
-        phi2 = (ep * self.r21 + em * (1.0 + self.r22)) * q
+        env = soliton_eigenvector(self.gamma, 0.0, self.grid)
+        phi1 = env.u * (1.0 + self.r11) + env.v * self.r12
+        phi2 = env.u * self.r21 + env.v * (1.0 + self.r22)
         psi1 = self.gauge * phi1 / self.scale
         psi2 = np.conj(self.gauge) * phi2 / self.scale
-        out1 = np.where(self.window, psi1, self.eigenvector.phi1)
-        out2 = np.where(self.window, psi2, self.eigenvector.phi2)
-        return LaxVector(self.grid, out1, out2)
+        out1 = np.where(self.window, psi1, self.eigenvector.u)
+        out2 = np.where(self.window, psi2, self.eigenvector.v)
+        return SpinorField(self.grid, out1, out2)
 
 
 def eigenvector_remainder(f: SpinorField, res: EigenResult) -> EigenvectorRemainder:
@@ -582,50 +484,37 @@ def eigenvector_remainder(f: SpinorField, res: EigenResult) -> EigenvectorRemain
 
     The eigenvector is moved to the gauge frame with the phase based at
     x = 0, rescaled so its phi-component matches the explicit kernel vector
-    normalization, and the deviation from the exact envelopes is divided
+    scaling, and the deviation from the exact envelopes is divided
     out on the window |x sin(gamma)| <= 12.
     """
     grid = f.grid
     lam = res.lam
-    gamma = 2.0 * np.angle(lam)
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError("remainder extraction requires arg(lambda) in (0, pi/2)")
-    s = np.sin(gamma)
+    gamma = require_gamma(2.0 * np.angle(lam))
     x = grid.x
 
-    w = 0.25 * (np.abs(f.u) ** 2 - np.abs(f.v) ** 2)
-    acc = cumulative_trapezoid(w, grid)
+    acc = gauge_transform(f)
     j0 = int(np.argmin(np.abs(x)))
     gauge = np.exp(1j * (acc - acc[j0]))
 
-    phi1 = np.conj(gauge) * res.eigenvector.phi1
-    phi2 = gauge * res.eigenvector.phi2
-    phi = LaxVector(grid, phi1, phi2)
+    phi = SpinorField(grid, np.conj(gauge) * res.eigenvector.u, gauge * res.eigenvector.v)
     kern, eta, _ = null_vectors(gamma, grid)
     s3eta = _sigma3(eta)
     scale = inner_product(s3eta, kern) / inner_product(s3eta, phi)
-    phi1 = scale * phi1
-    phi2 = scale * phi2
 
-    window = np.abs(x * s) <= 12.0
-    q = _sech_mod(gamma, grid)
-    ep = np.exp(0.5 * x * s)
-    em = 1.0 / ep
-    dev1 = np.where(window, phi1 / q - ep, 0.0)
-    dev2 = np.where(window, phi2 / q - em, 0.0)
+    # the kernel vector is the envelope pair (e^{xs/2} q, e^{-xs/2} q)
+    window = np.abs(x * np.sin(gamma)) <= 12.0
+    dev1 = np.where(window, scale * phi.u - kern.u, 0.0)
+    dev2 = np.where(window, scale * phi.v - kern.v, 0.0)
     pos = x >= 0
-    r11 = np.where(pos, dev1 * em, 0.0)
-    r12 = np.where(pos, 0.0, dev1 * ep)
-    r21 = np.where(pos, dev2 * em, 0.0)
-    r22 = np.where(pos, 0.0, dev2 * ep)
-
-    def _norms(r: np.ndarray, name: str, out: dict):
-        out[f"{name}_sup"] = float(np.abs(r).max(initial=0.0, where=window))
-        out[f"{name}_l2"] = float(np.sqrt(grid.dx * np.sum(np.abs(r[window]) ** 2)))
+    r11 = np.where(pos, dev1 / kern.u, 0.0)
+    r12 = np.where(pos, 0.0, dev1 / kern.v)
+    r21 = np.where(pos, dev2 / kern.u, 0.0)
+    r22 = np.where(pos, 0.0, dev2 / kern.v)
 
     norms: dict = {}
     for name, r in (("r11", r11), ("r12", r12), ("r21", r21), ("r22", r22)):
-        _norms(r, name, norms)
+        norms[f"{name}_sup"] = float(np.abs(r).max(initial=0.0, where=window))
+        norms[f"{name}_l2"] = float(np.sqrt(grid.dx * np.sum(np.abs(r[window]) ** 2)))
     return EigenvectorRemainder(grid, gamma, lam, window, r11, r12, r21, r22,
                                 norms, complex(scale), gauge, res.eigenvector)
 
@@ -634,8 +523,7 @@ def eigenvector_remainder(f: SpinorField, res: EigenResult) -> EigenvectorRemain
 # time boundary-value problem
 # ---------------------------------------------------------------------------
 
-def solve_time_bvp(f_t: SpinorField, lam: complex, t: float,
-                   substeps: int = DEFAULT_SUBSTEPS) -> JostPair:
+def solve_time_bvp(f_t: SpinorField, lam: complex, t: float) -> JostPair:
     """Jost pair at time t with the evolution boundary phases attached.
 
     The spatial systems are solved at time t and the solutions rescaled so
@@ -643,48 +531,20 @@ def solve_time_bvp(f_t: SpinorField, lam: complex, t: float,
     e^{+i t k2} at the left edge and the left-recessive one e^{-i t k2} at
     the right edge.
     """
-    lam = _check_lambda(lam)
-    if _k1_of(lam).real >= 0:
-        raise ParameterError("time BVP normalization requires arg(lambda) in (0, pi/2)")
-    pair = solve_jost(f_t, lam, substeps)
+    p = SpectralParameter(complex(lam))
+    k1, k2 = p.k1, p.k2
+    if k1.real >= 0:
+        raise ParameterError("time BVP boundary phases require arg(lambda) in (0, pi/2)")
+    pair = solve_jost(f_t, p.lam)
     grid = f_t.grid
-    k1, k2 = _k1_of(lam), _k2_of(lam)
     ph_r = np.exp(1j * t * k2)
     ph_l = np.exp(-1j * t * k2)
-    r_edge = pair.right.phi1[0]
-    l_edge = pair.left.phi2[-1]
+    r_edge = pair.right.u[0]
+    l_edge = pair.left.v[-1]
     if r_edge == 0 or l_edge == 0:
-        raise DegenerateVectorError("Jost solution vanished at its normalization edge")
+        raise DegenerateVectorError("Jost solution vanished at its boundary-phase edge")
     cr = ph_r * np.exp(k1 * grid.x[0]) / r_edge
     cl = ph_l * np.exp(-k1 * grid.x[-1]) / l_edge
-    left = LaxVector(grid, cl * pair.left.phi1, cl * pair.left.phi2)
-    right = LaxVector(grid, cr * pair.right.phi1, cr * pair.right.phi2)
-    norm = dict(pair.normalization)
-    norm.update({
-        "t": float(t),
-        "right": "(exp(k1 x + i t k2), 0) as x -> x_min (the edge gauge is the identity there)",
-        "left": "(0, exp(-k1 x - i t k2)) as x -> x_last (the edge gauge is the identity there)",
-    })
-    return JostPair(lam, left, right, norm)
-
-
-def collinearity_defect(a: LaxVector, b: LaxVector) -> float:
-    """Magnitude-weighted L2 defect of pointwise collinearity of two vectors.
-
-    ||a x b||_L2 / || |a| |b| ||_L2: zero iff the vectors are proportional;
-    the |a||b| weight concentrates the measure where both carry mass, so
-    noise in exponentially small tails does not dominate.
-    """
-    cross = a.phi1 * b.phi2 - a.phi2 * b.phi1
-    mags = (np.sqrt(np.abs(a.phi1) ** 2 + np.abs(a.phi2) ** 2)
-            * np.sqrt(np.abs(b.phi1) ** 2 + np.abs(b.phi2) ** 2))
-    denom = np.sqrt(np.sum(mags ** 2))
-    if denom == 0:
-        raise DegenerateVectorError("both vectors vanish everywhere")
-    return float(np.sqrt(np.sum(np.abs(cross) ** 2)) / denom)
-
-
-def m_gamma_operator(gamma: float, grid: Grid) -> LaxOperatorSample:
-    """The gauge-frame soliton operator; equals L at the soliton since |u|=|v|."""
-    sol = stationary_soliton(gamma, 0.0, 0.0, 0.0, grid)
-    return assemble_L(sol, np.exp(0.5j * gamma))
+    left = SpinorField(grid, cl * pair.left.u, cl * pair.left.v)
+    right = SpinorField(grid, cr * pair.right.u, cr * pair.right.v)
+    return JostPair(p.lam, left, right)

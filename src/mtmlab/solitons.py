@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .fields import Grid, LaxVector, SpinorField
+from .fields import Grid, SpinorField
 
 
 def csech(z: np.ndarray) -> np.ndarray:
@@ -27,6 +27,21 @@ def csech(z: np.ndarray) -> np.ndarray:
     return 2.0 * ez / (1.0 + ez * ez)
 
 
+def require_lambda(lam) -> complex:
+    """lam as a complex number; ParameterError unless it is nonzero."""
+    lam = complex(lam)
+    if lam == 0:
+        raise ParameterError("spectral parameter lambda must be nonzero")
+    return lam
+
+
+def require_gamma(gamma: float) -> float:
+    """gamma itself; ParameterError unless 0 < gamma < pi (the soliton range)."""
+    if not 0.0 < gamma < np.pi:
+        raise ParameterError(f"gamma must lie in (0, pi), got {gamma}")
+    return gamma
+
+
 @dataclass(frozen=True)
 class SpectralParameter:
     """lambda with its derived kinematic quantities."""
@@ -34,8 +49,7 @@ class SpectralParameter:
     lam: complex
 
     def __post_init__(self):
-        if self.lam == 0:
-            raise ParameterError("spectral parameter lambda must be nonzero")
+        require_lambda(self.lam)
 
     @cached_property
     def delta(self) -> float:
@@ -77,27 +91,13 @@ class SpectralParameter:
         return cls(delta * np.exp(0.5j * gamma))
 
 
-def _require_soliton_gamma(gamma: float) -> None:
-    if not 0.0 < gamma < np.pi:
-        raise ParameterError(f"soliton construction requires gamma in (0, pi), got {gamma}")
-
-
-@dataclass(frozen=True)
-class SolitonParams:
-    """Spectral parameter plus translational/gauge parameters of a soliton orbit."""
-
-    spectral: SpectralParameter
-    a: float = 0.0
-    theta: float = 0.0   # interpreted mod 2*pi
-
-
 # ---------------------------------------------------------------------------
 # space-time evaluators
 # ---------------------------------------------------------------------------
 
 def soliton_evaluator(p: SpectralParameter):
     """Exact one-soliton solution as a callable (x, t) -> (u, v)."""
-    _require_soliton_gamma(p.gamma)
+    require_gamma(p.gamma)
     s, d, al, be, nu, g = np.sin(p.gamma), p.delta, p.alpha, p.beta, p.nu, p.gamma
 
     def ev(x, t):
@@ -116,7 +116,7 @@ def stationary_soliton_evaluator(gamma: float, a: float = 0.0, theta: float = 0.
 
     u(x,t) = e^{i theta - i t cos(gamma)} u_gamma(x + a), likewise for v.
     """
-    _require_soliton_gamma(gamma)
+    require_gamma(gamma)
     s = np.sin(gamma)
 
     def ev(x, t):
@@ -141,28 +141,13 @@ def free_lax_evaluator(p: SpectralParameter):
     return ev
 
 
-def lorentz_boost(evaluator, delta: float):
-    """Boost a space-time evaluator of (u, v): new solution of the same system.
+def lorentz_boost_lax(evaluator, delta: float):
+    """Boost a Lax-vector evaluator: both entries resample without delta weights.
 
-    (u', v')(x, t) = (u/delta, delta*v)(k1 x + k2 t, k1 t + k2 x) with
+    (phi1', phi2')(x, t) = (phi1, phi2)(k1 x + k2 t, k1 t + k2 x) with
     k1 = (delta^2 + delta^-2)/2, k2 = (delta^2 - delta^-2)/2.  delta = 1 is
     the identity.
     """
-    if delta <= 0:
-        raise ParameterError("boost requires delta > 0")
-    d2 = delta ** 2
-    b1 = 0.5 * (d2 + 1 / d2)
-    b2 = 0.5 * (d2 - 1 / d2)
-
-    def ev(x, t):
-        u, v = evaluator(b1 * x + b2 * t, b1 * t + b2 * x)
-        return u / delta, delta * v
-
-    return ev
-
-
-def lorentz_boost_lax(evaluator, delta: float):
-    """Boost a Lax-vector evaluator: components resample without delta weights."""
     if delta <= 0:
         raise ParameterError("boost requires delta > 0")
     d2 = delta ** 2
@@ -175,18 +160,28 @@ def lorentz_boost_lax(evaluator, delta: float):
     return ev
 
 
+def lorentz_boost(evaluator, delta: float):
+    """Boost a space-time evaluator of (u, v): new solution of the same system.
+
+    (u', v') is the `lorentz_boost_lax` resampling weighted by (1/delta, delta).
+    """
+    boosted = lorentz_boost_lax(evaluator, delta)
+
+    def ev(x, t):
+        u, v = boosted(x, t)
+        return u / delta, delta * v
+
+    return ev
+
+
 # ---------------------------------------------------------------------------
 # grid samplers
 # ---------------------------------------------------------------------------
 
 def sample_spinor(evaluator, t: float, grid: Grid) -> SpinorField:
+    """Sample a space-time evaluator of either a field or a Lax vector at time t."""
     u, v = evaluator(grid.x, t)
     return SpinorField(grid, u, v)
-
-
-def sample_lax(evaluator, t: float, grid: Grid) -> LaxVector:
-    p1, p2 = evaluator(grid.x, t)
-    return LaxVector(grid, np.broadcast_to(p1, (grid.n,)), np.broadcast_to(p2, (grid.n,)))
 
 
 def soliton_field(p: SpectralParameter, t: float, grid: Grid) -> SpinorField:
@@ -199,19 +194,21 @@ def stationary_soliton(gamma: float, a: float, theta: float, t: float, grid: Gri
     return sample_spinor(stationary_soliton_evaluator(gamma, a, theta), t, grid)
 
 
-def free_lax_vector(p: SpectralParameter, t: float, grid: Grid) -> LaxVector:
+def free_lax_vector(p: SpectralParameter, t: float, grid: Grid) -> SpinorField:
     """Sample the zero-potential Lax vector at time t."""
-    return sample_lax(free_lax_evaluator(p), t, grid)
+    return sample_spinor(free_lax_evaluator(p), t, grid)
 
 
 def soliton_eigenvector_evaluator(gamma: float):
     """Decaying soliton eigenvector as a space-time evaluator (|lambda| = 1 case).
 
     psi1 = e^{x sin(g)/2 + i t cos(g)/2} |sech(x sin g - i g/2)| and psi2 its
-    reciprocal-exponent partner.  The boosted eigenvector for delta != 1 is
-    obtained by composing with `lorentz_boost_lax`.
+    reciprocal-exponent partner.  At t = 0 this is the soliton envelope that
+    the kernel vectors and eigenvector remainders in `mtmlab.lax` are built
+    from.  The boosted eigenvector for delta != 1 is obtained by composing
+    with `lorentz_boost_lax`.
     """
-    _require_soliton_gamma(gamma)
+    require_gamma(gamma)
     s = np.sin(gamma)
 
     def ev(x, t):
@@ -223,12 +220,6 @@ def soliton_eigenvector_evaluator(gamma: float):
     return ev
 
 
-def soliton_eigenvector(gamma: float, t: float, grid: Grid) -> LaxVector:
+def soliton_eigenvector(gamma: float, t: float, grid: Grid) -> SpinorField:
     """Sample the decaying eigenvector attached to the stationary soliton."""
-    return sample_lax(soliton_eigenvector_evaluator(gamma), t, grid)
-
-
-def soliton_charge(gamma: float) -> float:
-    """Exact charge of the soliton family: 4*gamma, independent of a, theta, t, delta."""
-    _require_soliton_gamma(gamma)
-    return 4.0 * gamma
+    return sample_spinor(soliton_eigenvector_evaluator(gamma), t, grid)

@@ -25,12 +25,20 @@ from .fields import (
     SpinorField,
     combined_l2_distance,
     integrate,
+    l2_norm,
 )
 from .lax import find_eigenvalue, solve_time_bvp
-from .solitons import SpectralParameter, soliton_evaluator, stationary_soliton
+from .solitons import (
+    SpectralParameter,
+    require_gamma,
+    soliton_evaluator,
+    stationary_soliton,
+)
 
 PERTURBATION_SHAPES = ("gaussian_bump", "random_fourier")
 PIPELINES = ("direct", "backlund", "both")
+#: the modulated-distance shift scan covers |a| <= SCAN_HALFWIDTH
+SCAN_HALFWIDTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -45,21 +53,17 @@ class ExperimentConfig:
     t_end: float = 20.0
     times: tuple[float, ...] | None = None   # defaults to every 2 time units
     pipeline: str = "both"
-    eigen_guess: complex | None = None
-    scan_halfwidth: float = 10.0
-    refine_fit: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.gamma0 < np.pi:
-            raise ParameterError(f"gamma0 must lie in (0, pi), got {self.gamma0}")
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be nonnegative")
+        require_gamma(self.gamma0)
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ParameterError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.perturbation_shape not in PERTURBATION_SHAPES:
             raise ParameterError(f"unknown perturbation shape {self.perturbation_shape!r}")
         if self.pipeline not in PIPELINES:
             raise ParameterError(f"unknown pipeline {self.pipeline!r}")
-        if self.t_end <= 0:
-            raise ParameterError("t_end must be positive")
+        if not math.isfinite(self.t_end) or self.t_end <= 0:
+            raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
 
     def sample_times(self) -> tuple[float, ...]:
         if self.times is not None:
@@ -113,8 +117,7 @@ def _orbit_distance(f: SpinorField, ev, t: float, a: float) -> tuple[float, floa
     return float(du + dv), th
 
 
-def modulated_distance(f: SpinorField, p: SpectralParameter, t: float,
-                       scan_halfwidth: float = 10.0) -> ModulationFit:
+def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> ModulationFit:
     """Minimize the combined L2 distance to the soliton orbit over (a, theta).
 
     For each shift a the optimal phase has the closed form theta* =
@@ -126,7 +129,7 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float,
     ev = soliton_evaluator(p)
     dx = f.grid.dx
     step = 8.0 * dx
-    coarse = np.arange(-scan_halfwidth, scan_halfwidth + 0.5 * step, step)
+    coarse = np.arange(-SCAN_HALFWIDTH, SCAN_HALFWIDTH + 0.5 * step, step)
     dists = [_orbit_distance(f, ev, t, a)[0] for a in coarse]
     j = int(np.argmin(dists))
     lo = coarse[max(j - 1, 0)]
@@ -206,13 +209,10 @@ def make_perturbed_initial(cfg: ExperimentConfig) -> SpinorField:
 # experiment engine
 # ---------------------------------------------------------------------------
 
-def _pair_norm(f: SpinorField) -> float:
-    """L2 norm of the pair, sqrt(int |u|^2 + |v|^2): the conserved small-field size."""
-    return float(np.sqrt(charge(f)))
-
-
 def _capture_samples(f0: SpinorField, t_end: float, step_indices: set[int]) -> dict[int, SpinorField]:
-    """Evolve f0 and keep snapshots at the requested step indices."""
+    """Evolve f0 and keep snapshots at the requested step indices (f0 itself at 0)."""
+    if t_end <= 0:
+        return {0: f0}
     cfg = EvolutionConfig(dt=f0.grid.dx, t_end=t_end)
     captured: dict[int, SpinorField] = {}
 
@@ -226,7 +226,7 @@ def _capture_samples(f0: SpinorField, t_end: float, step_indices: set[int]) -> d
 
 
 def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorField,
-                        seed: tuple[float, float], refine: bool):
+                        seed: tuple[float, float]):
     """Choose (a, theta) for the up map to best match the target field."""
     def objective(params):
         a, th = params
@@ -238,11 +238,10 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
 
     a0, th0 = seed
     best = (objective((a0, th0)), a0, th0)
-    if refine:
-        opt = minimize(objective, x0=[a0, th0], method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200})
-        if opt.fun < best[0]:
-            best = (float(opt.fun), float(opt.x[0]), float(opt.x[1]))
+    opt = minimize(objective, x0=[a0, th0], method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200})
+    if opt.fun < best[0]:
+        best = (float(opt.fun), float(opt.x[0]), float(opt.x[1]))
     return best
 
 
@@ -254,8 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sol0 = stationary_soliton(cfg.gamma0, 0.0, 0.0, 0.0, grid)
     eps_measured = combined_l2_distance(f0, sol0)
 
-    guess = cfg.eigen_guess if cfg.eigen_guess is not None else np.exp(0.5j * cfg.gamma0)
-    eig = find_eigenvalue(f0, guess)
+    eig = find_eigenvalue(f0, np.exp(0.5j * cfg.gamma0))
     lam = eig.lam
     p = SpectralParameter(lam)
 
@@ -268,21 +266,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     do_direct = cfg.pipeline in ("direct", "both")
     do_back = cfg.pipeline in ("backlund", "both")
 
-    direct_fields: dict[int, SpinorField] = {}
-    if do_direct:
-        direct_fields = (_capture_samples(f0, t_max, want) if t_max > 0
-                         else {idx[0]: f0})
-        if t_max > 0 and 0 in want:
-            direct_fields[0] = f0
+    direct_fields = _capture_samples(f0, t_max, want) if do_direct else {}
 
     pq_fields: dict[int, SpinorField] = {}
     pq0_norm = float("nan")
     if do_back:
         pq0 = down_map(f0, eig)
-        pq0_norm = _pair_norm(pq0)
-        pq_fields = (_capture_samples(pq0, t_max, want) if t_max > 0 else {idx[0]: pq0})
-        if t_max > 0 and 0 in want:
-            pq_fields[0] = pq0
+        pq0_norm = l2_norm(pq0)
+        pq_fields = _capture_samples(pq0, t_max, want)
 
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
@@ -294,10 +285,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if do_direct:
             f_t = direct_fields[k]
             chg = charge(f_t)
-            fit = modulated_distance(f_t, p, t, cfg.scan_halfwidth)
+            fit = modulated_distance(f_t, p, t)
         if do_back:
             pq_t = pq_fields[k]
-            small = _pair_norm(pq_t)
+            small = l2_norm(pq_t)
             jost = solve_time_bvp(pq_t, lam, t)
             if do_direct:
                 # place the reconstruction at the direct field's orbit point,
@@ -305,27 +296,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 seed_a = p.alpha * fit.a_star
                 seed_th = fit.theta_star - p.beta * p.nu * fit.a_star
                 cross, a_fit, th_fit = _fit_reconstruction(
-                    pq_t, jost, lam, f_t, (seed_a, seed_th), cfg.refine_fit)
+                    pq_t, jost, lam, f_t, (seed_a, seed_th))
             else:
                 rec0 = up_map(pq_t, jost, lam, 0.0, 0.0)
                 chg = charge(rec0)
-                fit = modulated_distance(rec0, p, t, cfg.scan_halfwidth)
+                fit = modulated_distance(rec0, p, t)
         records.append(ExperimentRecord(t, chg, fit.dist, fit.a_star,
                                         fit.theta_star, lam, small))
         crosses.append(cross)
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
                             pq0_norm, eps_measured)
-
-
-def run_direct(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Direct pipeline only: evolve the perturbed data and track the orbit."""
-    return list(run_experiment(replace(cfg, pipeline="direct")).records)
-
-
-def run_backlund_pipeline(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Transform down, evolve the small field, reconstruct at each sample time."""
-    return list(run_experiment(replace(cfg, pipeline="backlund")).records)
 
 
 # ---------------------------------------------------------------------------

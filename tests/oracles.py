@@ -2,15 +2,16 @@
 
 Everything here is deliberately built from different machinery than the
 code under test: direct quadrature of closed forms, finite-difference
-residuals of the governing equations, and a Crank-Nicolson propagator for
-the temporal linear system.
+residuals of the governing equations, a pointwise collinearity measure,
+and a Crank-Nicolson propagator for the temporal linear system.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
+from mtmlab.errors import DegenerateVectorError
 from mtmlab.fields import Grid, SpinorField, d_dx
-from mtmlab.lax import assemble_A, assemble_L
+from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L
 from mtmlab.solitons import sample_spinor, stationary_soliton_evaluator
 
 
@@ -100,3 +101,29 @@ def propagate_lax_in_time(phi0: np.ndarray, fields: list[SpinorField],
         phi = np.stack([(m22 * b1 - m12 * b2) / det,
                         (-m21 * b1 + m11 * b2) / det], axis=-1)
     return phi
+
+
+def spatial_residual(op: LaxOperatorSample, vec: SpinorField, trim: int = 2) -> float:
+    """L2 norm of (d/dx - op) vec, centered 4th-order stencil, edges trimmed."""
+    r1 = d_dx(vec.u, vec.grid, accuracy=4) - (op.a11 * vec.u + op.a12 * vec.v)
+    r2 = d_dx(vec.v, vec.grid, accuracy=4) - (op.a21 * vec.u + op.a22 * vec.v)
+    if trim:
+        r1 = r1[trim:-trim]
+        r2 = r2[trim:-trim]
+    return float(np.sqrt(op.grid.dx * np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
+
+
+def collinearity_defect(a: SpinorField, b: SpinorField) -> float:
+    """Magnitude-weighted L2 defect of pointwise collinearity of two vectors.
+
+    ||a x b||_L2 / || |a| |b| ||_L2: zero iff the vectors are proportional;
+    the |a||b| weight concentrates the measure where both carry mass, so
+    noise in exponentially small tails does not dominate.
+    """
+    cross = a.u * b.v - a.v * b.u
+    mags = (np.sqrt(np.abs(a.u) ** 2 + np.abs(a.v) ** 2)
+            * np.sqrt(np.abs(b.u) ** 2 + np.abs(b.v) ** 2))
+    denom = np.sqrt(np.sum(mags ** 2))
+    if denom == 0:
+        raise DegenerateVectorError("both vectors vanish everywhere")
+    return float(np.sqrt(np.sum(np.abs(cross) ** 2)) / denom)

@@ -113,6 +113,24 @@ def test_evolve_wrong_dt_is_domain_error(tmp_path):
     assert code == 1
 
 
+def test_non_finite_inputs_are_typed_errors(tmp_path, capsys):
+    field = tmp_path / "s.csv"
+    run(["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", str(field)])
+    capsys.readouterr()
+    code = run(["evolve", "--field", str(field), "--dt", repr(60.0 / 1024), "--t-end", "inf",
+                "--out-prefix", str(tmp_path / "x_")])
+    assert code == 1
+    assert "error: ParameterError" in capsys.readouterr().err
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01", "--t-end", "inf",
+                "--grid-n", "1024", "--out-dir", str(tmp_path / "exp")])
+    assert code == 1
+    assert "error: ParameterError" in capsys.readouterr().err
+    code = run(["soliton", "--gamma", str(GAMMA), "--grid-l", "nan",
+                "--out", str(tmp_path / "nan.csv")])
+    assert code == 1
+    assert "error: FieldValidationError: grid bounds" in capsys.readouterr().err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("gamma = 0.7853981633974483\ngrid-n = 1024\n# comment line\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtmlab.errors import ParameterError, StepError
-from mtmlab.evolution import ChargeMonitor, EvolutionConfig, charge, evolve, step
+from mtmlab.evolution import EvolutionConfig, charge, evolve, step
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, sup_norm
 from mtmlab.solitons import stationary_soliton
 
@@ -46,10 +46,11 @@ def test_soliton_tracking_second_order():
 
 
 def test_charge_conserved_long_run(grid, perturbed):
-    mon = ChargeMonitor(perturbed)
+    c0 = charge(perturbed)
+    drifts = []
     evolve(perturbed, EvolutionConfig(dt=grid.dx, t_end=20.0, output_stride=64),
-           observer=lambda t, f: mon.drift(f))
-    assert mon.max_drift < 1e-6
+           observer=lambda t, f: drifts.append(abs(charge(f) - c0) / c0))
+    assert max(drifts) < 1e-6
 
 
 def test_charge_conserved_per_step(grid, perturbed):
@@ -108,27 +109,10 @@ def test_dt_must_match_dx(grid, perturbed):
         step(perturbed, EvolutionConfig(dt=0.5, t_end=1.0))
 
 
-def test_nonperiodic_grid_rejected():
-    g = Grid.symmetric(30.0, 1024, periodic=False)
-    f = SpinorField.zero(g)
-    with pytest.raises(ParameterError):
-        step(f, EvolutionConfig(dt=g.dx, t_end=g.dx))
-
-
 def test_midpoint_divergence_raises(grid):
     huge = SpinorField(grid, np.full(grid.n, 40.0 + 0j), np.full(grid.n, 40.0 + 0j))
     with pytest.raises(StepError):
         step(huge, EvolutionConfig(dt=grid.dx, t_end=grid.dx))
-
-
-def test_nonlinear_substeps_preserve_accuracy(grid):
-    f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
-    a = evolve(f0, EvolutionConfig(dt=grid.dx, t_end=1.0))
-    b = evolve(f0, EvolutionConfig(dt=grid.dx, t_end=1.0, nonlinear_substeps=2))
-    t_n = round(1.0 / grid.dx) * grid.dx
-    ref = stationary_soliton(np.pi / 2, 0.0, 0.0, t_n, grid)
-    assert combined_l2_distance(b, ref) <= combined_l2_distance(a, ref) * 1.5
-    assert abs(charge(b) - charge(f0)) / charge(f0) < 1e-12
 
 
 def test_config_validation():
@@ -138,3 +122,7 @@ def test_config_validation():
         EvolutionConfig(dt=0.1, t_end=-1.0)
     with pytest.raises(ParameterError):
         EvolutionConfig(dt=0.1, t_end=1.0, output_stride=0)
+    for bad in (dict(dt=float("nan"), t_end=1.0), dict(dt=0.1, t_end=float("inf")),
+                dict(dt=float("inf"), t_end=1.0), dict(dt=0.1, t_end=1.0, output_stride=2.5)):
+        with pytest.raises(ParameterError):
+            EvolutionConfig(**bad)

@@ -4,7 +4,6 @@ import pytest
 from mtmlab.errors import FieldValidationError, GridMismatchError
 from mtmlab.fields import (
     Grid,
-    LaxVector,
     SpinorField,
     combined_l2_distance,
     h1_seminorm,
@@ -33,6 +32,10 @@ def test_grid_validation():
         Grid(0.0, -1.0, 64)
     with pytest.raises(FieldValidationError):
         Grid(0.0, 1.0, 4)
+    for bounds_and_n in ((np.nan, 1.0, 16), (0.0, np.inf, 16), (-np.inf, 0.0, 16),
+                         (0.0, 1.0, 16.5)):
+        with pytest.raises(FieldValidationError):
+            Grid(*bounds_and_n)
 
 
 def test_field_validation(grid):
@@ -75,15 +78,15 @@ def test_inner_product_is_a_norm(grid, rng):
 def test_inner_product_sesquilinear(grid, rng):
     def rand():
         env = np.exp(-grid.x ** 2 / 50)
-        return LaxVector(grid, env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)),
+        return SpinorField(grid, env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)),
                          env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)))
 
     f, g, h = rand(), rand(), rand()
     a = 0.7 - 1.3j
-    lhs = inner_product(f, LaxVector(grid, a * g.phi1 + h.phi1, a * g.phi2 + h.phi2))
+    lhs = inner_product(f, SpinorField(grid, a * g.u + h.u, a * g.v + h.v))
     rhs = a * inner_product(f, g) + inner_product(f, h)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    lhs2 = inner_product(LaxVector(grid, a * f.phi1, a * f.phi2), g)
+    lhs2 = inner_product(SpinorField(grid, a * f.u, a * f.v), g)
     assert lhs2 == pytest.approx(np.conj(a) * inner_product(f, g), rel=1e-12)
     assert inner_product(f, g) == pytest.approx(np.conj(inner_product(g, f)), rel=1e-12)
 
@@ -97,7 +100,7 @@ def test_inner_product_null_vector_pairings(grid):
     # the kernel pair is pointwise orthogonal, but not under sigma3
     phi, eta, _ = null_vectors(np.pi / 2, grid)
     assert abs(inner_product(eta, phi)) < 1e-8
-    s3eta = LaxVector(grid, eta.phi1, -eta.phi2)
+    s3eta = SpinorField(grid, eta.u, -eta.v)
     val = inner_product(s3eta, phi)
     assert abs(val) > 0.1
     assert val.real == pytest.approx(2 * np.pi, abs=1e-8)
@@ -109,7 +112,7 @@ def test_h1_seminorm_constant(grid):
 
 
 def test_h1_seminorm_sine():
-    g = Grid(-np.pi, np.pi, 4096, periodic=True)
+    g = Grid(-np.pi, np.pi, 4096)
     f = SpinorField(g, np.sin(g.x).astype(complex), np.zeros(g.n))
     assert h1_seminorm(f) == pytest.approx(np.sqrt(np.pi), abs=1e-3)
 
@@ -156,8 +159,8 @@ def test_lax_csv_roundtrip(tmp_path, grid):
     path = tmp_path / "v.csv"
     write_lax_csv(vec, str(path))
     v2 = read_lax_csv(str(path))
-    assert np.array_equal(v2.phi1, vec.phi1)
-    assert np.array_equal(v2.phi2, vec.phi2)
+    assert np.array_equal(v2.u, vec.u)
+    assert np.array_equal(v2.v, vec.v)
 
 
 def test_csv_header_check(tmp_path, grid):

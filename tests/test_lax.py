@@ -8,7 +8,6 @@ from mtmlab.errors import (
     ParameterError,
 )
 from mtmlab.fields import (
-    LaxVector,
     SpinorField,
     d_dx,
     inner_product,
@@ -16,16 +15,12 @@ from mtmlab.fields import (
     l2_norm,
 )
 from mtmlab.lax import (
-    _k1_of,
-    _k2_of,
     assemble_A,
     assemble_L,
-    collinearity_defect,
     eigenvector_remainder,
     evans_function,
     find_eigenvalue,
     gauge_transform,
-    m_gamma_operator,
     null_vectors,
     project_P,
     project_P_hat,
@@ -33,14 +28,25 @@ from mtmlab.lax import (
     s_constant,
     solve_jost,
     solve_time_bvp,
-    spatial_residual,
 )
 from mtmlab.evolution import EvolutionConfig, evolve
-from mtmlab.solitons import soliton_eigenvector, stationary_soliton
+from mtmlab.solitons import SpectralParameter, soliton_eigenvector, stationary_soliton
 
-from oracles import propagate_lax_in_time, zero_curvature_residual
+from oracles import (
+    collinearity_defect,
+    propagate_lax_in_time,
+    spatial_residual,
+    zero_curvature_residual,
+)
 
 LAM0 = np.exp(0.25j * np.pi)     # e^{i gamma/2} for gamma = pi/2
+P0 = SpectralParameter(LAM0)
+
+
+def gauge_phases(f):
+    """The gauges (m1, m2) based at the left and right edges."""
+    acc = gauge_transform(f)
+    return np.exp(1j * acc), np.exp(1j * (acc[-1] - acc))
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +115,14 @@ def test_lambda_zero_rejected(grid):
 # -- gauge transform ---------------------------------------------------------
 
 def test_gauge_on_soliton_is_identity(grid, soliton):
-    gp = gauge_transform(soliton)                # |u| = |v| pointwise
-    assert np.abs(gp.m1 - 1.0).max() < 1e-12
-    assert np.abs(gp.m2 - 1.0).max() < 1e-12
+    m1, m2 = gauge_phases(soliton)               # |u| = |v| pointwise
+    assert np.abs(m1 - 1.0).max() < 1e-12
+    assert np.abs(m2 - 1.0).max() < 1e-12
 
 
 def test_gauge_on_zero_field(grid):
-    gp = gauge_transform(SpinorField.zero(grid))
-    assert np.abs(gp.m1 - 1.0).max() == 0.0
+    m1, _ = gauge_phases(SpinorField.zero(grid))
+    assert np.abs(m1 - 1.0).max() == 0.0
 
 
 def test_gauge_total_phase(grid):
@@ -126,30 +132,31 @@ def test_gauge_total_phase(grid):
     u = amp * np.exp(-grid.x ** 2 / (4 * width ** 2))
     f = SpinorField(grid, u.astype(complex), np.zeros(grid.n))
     assert integrate(np.abs(f.u) ** 2, grid) == pytest.approx(4 * np.pi, rel=1e-10)
-    gp = gauge_transform(f)
-    assert gp.total_phase == pytest.approx(np.exp(1j * np.pi), abs=1e-8)
-    assert np.abs(np.abs(gp.m1) - 1.0).max() < 1e-12
-    assert np.abs(gp.m1 * gp.m2 - gp.total_phase).max() < 1e-12
+    m1, m2 = gauge_phases(f)
+    total_phase = m1[-1] * m2[-1]
+    assert total_phase == pytest.approx(np.exp(1j * np.pi), abs=1e-8)
+    assert np.abs(np.abs(m1) - 1.0).max() < 1e-12
+    assert np.abs(m1 * m2 - total_phase).max() < 1e-12
 
 
 # -- Jost solutions and the Evans function -----------------------------------
 
 def test_jost_zero_field_exact(grid):
     pair = solve_jost(SpinorField.zero(grid), LAM0)
-    k1 = _k1_of(LAM0)
-    assert np.abs(pair.left.phi1).max() == 0.0
-    assert np.abs(pair.left.phi2 - np.exp(-k1 * grid.x)).max() < 1e-8
-    assert np.abs(pair.right.phi2).max() == 0.0
-    assert np.abs(pair.right.phi1 - np.exp(k1 * grid.x)).max() < 1e-8
+    k1 = P0.k1
+    assert np.abs(pair.left.u).max() == 0.0
+    assert np.abs(pair.left.v - np.exp(-k1 * grid.x)).max() < 1e-8
+    assert np.abs(pair.right.v).max() == 0.0
+    assert np.abs(pair.right.u - np.exp(k1 * grid.x)).max() < 1e-8
 
 
 def test_jost_edge_normalization(grid, soliton):
     pair = solve_jost(soliton, LAM0)
-    k1 = _k1_of(LAM0)
-    assert pair.left.phi1[0] == 0.0
-    assert pair.left.phi2[0] == pytest.approx(np.exp(-k1 * grid.x[0]), rel=1e-12)
-    assert pair.right.phi1[-1] == pytest.approx(np.exp(k1 * grid.x[-1]), rel=1e-12)
-    assert pair.right.phi2[-1] == 0.0
+    k1 = P0.k1
+    assert pair.left.u[0] == 0.0
+    assert pair.left.v[0] == pytest.approx(np.exp(-k1 * grid.x[0]), rel=1e-12)
+    assert pair.right.u[-1] == pytest.approx(np.exp(k1 * grid.x[-1]), rel=1e-12)
+    assert pair.right.v[-1] == 0.0
 
 
 def test_jost_collinear_at_eigenvalue(grid, soliton):
@@ -165,10 +172,10 @@ def test_jost_small_background_correction(grid, rng):
                     + np.sqrt(integrate(np.abs(v) ** 2, grid)))
     f = SpinorField(grid, scale * u, scale * v)
     pair = solve_jost(f, LAM0)
-    k1 = _k1_of(LAM0)
+    k1 = P0.k1
     # the reduced right solution stays within O(||field||/sin g) of its
     # unit asymptote (divide out the envelope and the right-edge gauge)
-    reduced = pair.right.phi1 * np.exp(-k1 * grid.x) * gauge_transform(f).m2
+    reduced = pair.right.u * np.exp(-k1 * grid.x) * gauge_phases(f)[1]
     assert np.abs(reduced - 1.0).max() < 0.05 * 5
 
 
@@ -196,9 +203,9 @@ def test_find_eigenvalue_recovers_soliton_parameter(grid, soliton):
     assert res.iterations <= 10
     assert l2_norm(res.eigenvector) == pytest.approx(1.0, rel=1e-12)
     # phase convention: dominant component real positive at the modulus peak
-    mag = np.abs(res.eigenvector.phi1) ** 2 + np.abs(res.eigenvector.phi2) ** 2
+    mag = np.abs(res.eigenvector.u) ** 2 + np.abs(res.eigenvector.v) ** 2
     jp = int(np.argmax(mag))
-    comp = max(res.eigenvector.phi1[jp], res.eigenvector.phi2[jp], key=abs)
+    comp = max(res.eigenvector.u[jp], res.eigenvector.v[jp], key=abs)
     assert comp.imag == pytest.approx(0.0, abs=1e-12)
     assert comp.real > 0
     # matches the closed-form eigenvector up to normalization
@@ -223,16 +230,16 @@ def test_null_vector_point_values(grid):
     phi, eta, _ = null_vectors(np.pi / 2, grid)
     j0 = int(np.argmin(np.abs(grid.x)))
     root2 = np.sqrt(2)
-    assert phi.phi1[j0] == pytest.approx(root2, abs=1e-13)
-    assert phi.phi2[j0] == pytest.approx(root2, abs=1e-13)
-    assert eta.phi1[j0] == pytest.approx(root2, abs=1e-13)
-    assert eta.phi2[j0] == pytest.approx(-root2, abs=1e-13)
+    assert phi.u[j0] == pytest.approx(root2, abs=1e-13)
+    assert phi.v[j0] == pytest.approx(root2, abs=1e-13)
+    assert eta.u[j0] == pytest.approx(root2, abs=1e-13)
+    assert eta.v[j0] == pytest.approx(-root2, abs=1e-13)
 
 
 def test_null_vectors_solve_their_systems(grid):
     phi, eta, xi = null_vectors(np.pi / 2, grid)
     assert abs(inner_product(eta, phi)) < 1e-8
-    op = m_gamma_operator(np.pi / 2, grid)
+    op = assemble_L(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid), LAM0)
     assert spatial_residual(op, phi) < 1e-5
     # xi solves the same system; trim the exponentially growing edges
     assert spatial_residual(op, xi, trim=512) < 1e-3
@@ -243,18 +250,18 @@ def test_projector(grid, rng):
     phi, eta, _ = null_vectors(gamma, grid)
     assert l2_norm(project_P(gamma, phi)) < 1e-10
     env = np.exp(-grid.x ** 2 / 40)
-    v = LaxVector(grid, env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)),
+    v = SpinorField(grid, env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)),
                   env * (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)))
     pv = project_P(gamma, v)
     ppv = project_P(gamma, pv)
-    assert np.abs(ppv.phi1 - pv.phi1).max() < 1e-12
-    assert np.abs(ppv.phi2 - pv.phi2).max() < 1e-12
-    s3eta = LaxVector(grid, eta.phi1, -eta.phi2)
+    assert np.abs(ppv.u - pv.u).max() < 1e-12
+    assert np.abs(ppv.v - pv.v).max() < 1e-12
+    s3eta = SpinorField(grid, eta.u, -eta.v)
     assert abs(inner_product(s3eta, pv)) < 1e-10
 
 
 def test_resolvent_zero_rhs(grid):
-    w = resolvent_solve(np.pi / 2, LaxVector(grid, np.zeros(grid.n), np.zeros(grid.n)))
+    w = resolvent_solve(np.pi / 2, SpinorField(grid, np.zeros(grid.n), np.zeros(grid.n)))
     assert l2_norm(w) == 0.0
 
 
@@ -266,18 +273,17 @@ def test_resolvent_rejects_eta(grid):
 
 def test_resolvent_solves_the_ode(grid):
     gamma = np.pi / 2
-    f = LaxVector(grid, np.exp(-(grid.x - 1) ** 2 / 6) * np.exp(0.2j * grid.x),
+    f = SpinorField(grid, np.exp(-(grid.x - 1) ** 2 / 6) * np.exp(0.2j * grid.x),
                   np.exp(-(grid.x + 2) ** 2 / 8).astype(complex))
     f = project_P_hat(gamma, f)
     w = resolvent_solve(gamma, f)
-    op = m_gamma_operator(gamma, grid)
-    mw = op.apply(w)
-    r1 = d_dx(w.phi1, grid, 4) - mw.phi1 - f.phi1
-    r2 = d_dx(w.phi2, grid, 4) - mw.phi2 - f.phi2
+    op = assemble_L(stationary_soliton(gamma, 0.0, 0.0, 0.0, grid), np.exp(0.5j * gamma))
+    r1 = d_dx(w.u, grid, 4) - (op.a11 * w.u + op.a12 * w.v) - f.u
+    r2 = d_dx(w.v, grid, 4) - (op.a21 * w.u + op.a22 * w.v) - f.v
     res = np.sqrt(grid.dx * np.sum(np.abs(r1[2:-2]) ** 2 + np.abs(r2[2:-2]) ** 2))
     assert res < 1e-5
     _, eta, _ = null_vectors(gamma, grid)
-    s3eta = LaxVector(grid, eta.phi1, -eta.phi2)
+    s3eta = SpinorField(grid, eta.u, -eta.v)
     assert abs(inner_product(s3eta, w)) < 1e-8
 
 
@@ -319,20 +325,20 @@ def test_remainder_roundtrip(grid, bump_family):
     res, f = bump_family[1e-2]
     rem = eigenvector_remainder(f, res)
     rec = rem.reconstruct()
-    assert np.abs(rec.phi1 - res.eigenvector.phi1).max() < 1e-12
-    assert np.abs(rec.phi2 - res.eigenvector.phi2).max() < 1e-12
+    assert np.abs(rec.u - res.eigenvector.u).max() < 1e-12
+    assert np.abs(rec.v - res.eigenvector.v).max() < 1e-12
 
 
 # -- time boundary-value problem ----------------------------------------------
 
 def test_time_bvp_zero_background_phases(grid):
-    k1, k2 = _k1_of(LAM0), _k2_of(LAM0)
+    k1, k2 = P0.k1, P0.k2
     for t in (0.0, 3.7):
         pair = solve_time_bvp(SpinorField.zero(grid), LAM0, t)
-        assert np.abs(pair.right.phi1 - np.exp(k1 * grid.x + 1j * t * k2)).max() < 1e-10
-        assert np.abs(pair.right.phi2).max() == 0.0
-        assert np.abs(pair.left.phi2 - np.exp(-k1 * grid.x - 1j * t * k2)).max() < 1e-10
-        assert np.abs(pair.left.phi1).max() == 0.0
+        assert np.abs(pair.right.u - np.exp(k1 * grid.x + 1j * t * k2)).max() < 1e-10
+        assert np.abs(pair.right.v).max() == 0.0
+        assert np.abs(pair.left.v - np.exp(-k1 * grid.x - 1j * t * k2)).max() < 1e-10
+        assert np.abs(pair.left.u).max() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -354,14 +360,14 @@ def test_time_bvp_matches_time_propagation(grid, small_field):
     t_n = (len(fields) - 1) * grid.dx
     pair0 = solve_time_bvp(small_field, lam, 0.0)
     pair_n = solve_time_bvp(fields[-1], lam, t_n)
-    phi0 = np.stack([pair0.right.phi1, pair0.right.phi2], axis=-1)
+    phi0 = np.stack([pair0.right.u, pair0.right.v], axis=-1)
     phi_n = propagate_lax_in_time(phi0, fields, lam, grid.dx)
-    k1 = _k1_of(lam)
-    m1 = gauge_transform(fields[-1]).m1
+    k1 = P0.k1
+    m1, _ = gauge_phases(fields[-1])
     env = np.exp(-k1 * grid.x)
     red_prop = np.stack([np.conj(m1) * env * phi_n[:, 0], m1 * env * phi_n[:, 1]], axis=-1)
-    red_bvp = np.stack([np.conj(m1) * env * pair_n.right.phi1,
-                        m1 * env * pair_n.right.phi2], axis=-1)
+    red_bvp = np.stack([np.conj(m1) * env * pair_n.right.u,
+                        m1 * env * pair_n.right.v], axis=-1)
     disc = np.sqrt(grid.dx * np.sum(np.abs(red_prop - red_bvp) ** 2))
     assert disc < 1e-4
 
@@ -374,7 +380,7 @@ def test_time_bvp_boundary_amplitude_bound(grid, small_field):
            observer=lambda t, f: fields.append(f))
     t_n = (len(fields) - 1) * grid.dx
     pair = solve_time_bvp(fields[-1], lam, t_n)
-    m1 = gauge_transform(fields[-1]).m1
-    varphi1 = np.conj(m1) * np.exp(-_k1_of(lam) * grid.x) * pair.right.phi1
+    m1, _ = gauge_phases(fields[-1])
+    varphi1 = np.conj(m1) * np.exp(-P0.k1 * grid.x) * pair.right.u
     size = np.sqrt(integrate(np.abs(small_field.u) ** 2 + np.abs(small_field.v) ** 2, grid))
-    assert np.abs(varphi1 - np.exp(1j * t_n * _k2_of(lam))).max() < 5 * size
+    assert np.abs(varphi1 - np.exp(1j * t_n * P0.k2)).max() < 5 * size

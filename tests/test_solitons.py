@@ -14,9 +14,9 @@ from mtmlab.solitons import (
     stationary_soliton,
     stationary_soliton_evaluator,
 )
-from mtmlab.lax import assemble_L, spatial_residual
+from mtmlab.lax import assemble_L
 
-from oracles import mtm_residual
+from oracles import mtm_residual, spatial_residual
 
 
 def test_csech_matches_reference():
@@ -132,20 +132,20 @@ def test_free_lax_vector(grid):
     p = SpectralParameter.from_polar(np.pi / 2)
     vec = free_lax_vector(p, 0.0, grid)
     j0 = int(np.argmin(np.abs(grid.x)))
-    assert vec.phi1[j0] == pytest.approx(1.0, abs=1e-14)
-    assert vec.phi2[j0] == pytest.approx(1.0, abs=1e-14)
+    assert vec.u[j0] == pytest.approx(1.0, abs=1e-14)
+    assert vec.v[j0] == pytest.approx(1.0, abs=1e-14)
     # gamma = pi/2: exponent (i/4)(lam^2 - lam^-2) = -1/2
-    assert np.abs(vec.phi1 - np.exp(-grid.x / 2)).max() < 1e-8
-    assert np.abs(vec.phi1 * vec.phi2 - 1.0).max() < 1e-13
+    assert np.abs(vec.u - np.exp(-grid.x / 2)).max() < 1e-8
+    assert np.abs(vec.u * vec.v - 1.0).max() < 1e-13
 
 
 def test_soliton_eigenvector(grid):
     psi = soliton_eigenvector(np.pi / 2, 0.0, grid)
     j0 = int(np.argmin(np.abs(grid.x)))
-    assert psi.phi1[j0] == pytest.approx(np.sqrt(2), abs=1e-13)
-    assert psi.phi2[j0] == pytest.approx(np.sqrt(2), abs=1e-13)
+    assert psi.u[j0] == pytest.approx(np.sqrt(2), abs=1e-13)
+    assert psi.v[j0] == pytest.approx(np.sqrt(2), abs=1e-13)
     # decays in both directions
-    edge = max(abs(psi.phi1[0]), abs(psi.phi1[-1]), abs(psi.phi2[0]), abs(psi.phi2[-1]))
+    edge = max(abs(psi.u[0]), abs(psi.u[-1]), abs(psi.v[0]), abs(psi.v[-1]))
     assert edge < 1e-6
     # solves the spatial problem on the soliton background
     sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
@@ -156,11 +156,11 @@ def test_soliton_eigenvector(grid):
 def test_boosted_eigenvector_solves_boosted_system(grid):
     # the boost resampling sends the unit-circle eigenvector to one for the
     # boosted soliton at lambda = delta e^{i gamma/2}
-    from mtmlab.solitons import lorentz_boost_lax, sample_lax, soliton_eigenvector_evaluator
+    from mtmlab.solitons import lorentz_boost_lax, soliton_eigenvector_evaluator
 
     gamma, delta = np.pi / 2, 1.3
     p = SpectralParameter.from_polar(gamma, delta)
-    psi = sample_lax(lorentz_boost_lax(soliton_eigenvector_evaluator(gamma), delta), 0.0, grid)
+    psi = sample_spinor(lorentz_boost_lax(soliton_eigenvector_evaluator(gamma), delta), 0.0, grid)
     background = soliton_field(p, 0.0, grid)
     assert spatial_residual(assemble_L(background, p.lam), psi) < 1e-4
 

@@ -12,8 +12,6 @@ from mtmlab.stability import (
     format_summary_csv,
     make_perturbed_initial,
     modulated_distance,
-    run_backlund_pipeline,
-    run_direct,
     run_experiment,
     sweep,
 )
@@ -116,6 +114,10 @@ def test_config_validation(grid):
         ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, pipeline="sideways")
     with pytest.raises(ParameterError):
         ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, perturbation_shape="square")
+    with pytest.raises(ParameterError):
+        ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, t_end=float("inf"))
+    with pytest.raises(ParameterError):
+        ExperimentConfig(gamma0=GAMMA0, epsilon=float("nan"))
 
 
 # -- pipelines --------------------------------------------------------------------
@@ -146,13 +148,13 @@ def test_backlund_leg(both_result):
 
 
 def test_direct_only_pipeline():
-    recs = run_direct(short_config(t_end=2.0))
+    recs = run_experiment(short_config(t_end=2.0, pipeline="direct")).records
     assert len(recs) == 2
     assert all(math.isnan(r.small_norm) for r in recs)
 
 
 def test_backlund_only_pipeline():
-    recs = run_backlund_pipeline(short_config(t_end=2.0))
+    recs = run_experiment(short_config(t_end=2.0, pipeline="backlund")).records
     assert len(recs) == 2
     assert all(np.isfinite(r.small_norm) for r in recs)
     assert all(r.dist < 0.1 for r in recs)
