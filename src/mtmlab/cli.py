@@ -309,6 +309,10 @@ def _cmd_stability(args) -> int:
             print(f"stability: eps={row.epsilon} {row.status}", file=sys.stderr)
             failed = True
             continue
+        if res.fits_not_converged:
+            print(f"stability: eps={row.epsilon} {res.fits_not_converged} of "
+                  f"{len(res.records)} reconstruction fits did not converge",
+                  file=sys.stderr)
         if len(epsilons) == 1:
             rec_path = os.path.join(out_dir, "records.csv")
             print(f"stability: eps={row.epsilon} lambda={res.lam:.9g} "

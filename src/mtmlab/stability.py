@@ -4,9 +4,11 @@ The pipeline mirrors the three-arrow diagram: map a perturbed soliton down
 to a small field at t = 0 through its Lax eigenvector, ride the conserved
 L2 norm of the small field through time, and map back up into the soliton
 neighborhood at each sample time.  The measured quantity is the modulated
-distance inf_{a,theta} (||u(.+a) - e^{-i theta} u_lam|| + ||v(.+a) - e^{-i theta} v_lam||),
-recorded alongside charge, the fitted (a*, theta*), the eigenvalue, and the
-small-field norm.
+distance ||u - e^{-i theta*} u_lam(.-a*)|| + ||v - e^{-i theta*} v_lam(.-a*)||,
+where a* minimizes this norm-sum over the shift and theta* =
+arg(<u, u_lam(.-a*)> + <v, v_lam(.-a*)>) is the phase that minimizes the
+squared sum ||du||^2 + ||dv||^2 at that shift.  It is recorded alongside
+charge, the fitted (a*, theta*), the eigenvalue, and the small-field norm.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class ExperimentResult:
     cross_l2: tuple[float, ...]      # reconstruction-vs-direct distance (nan if n/a)
     pq0_norm: float
     initial_distance: float
+    fits_not_converged: int          # reconstruction fits that stopped unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +120,55 @@ def _orbit_distance(f: SpinorField, ev, t: float, a: float) -> tuple[float, floa
     return float(du + dv), th
 
 
-def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> ModulationFit:
-    """Minimize the combined L2 distance to the soliton orbit over (a, theta).
+def _shift_scan(f: SpinorField, ev, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts a_m = m*dx, |a_m| <= SCAN_HALFWIDTH, and the distance at each.
 
-    For each shift a the optimal phase has the closed form theta* =
-    arg(<u, u_lam(.-a,t)> + <v, v_lam(.-a,t)>); the shift is located by a
-    coarse scan (step 8*dx) followed by golden-section refinement to
-    |da| < 1e-6.  The soliton is shifted analytically, so no field
-    interpolation enters.
+    Equals _orbit_distance(f, ev, t, a_m)[0] for every m, from one sampling of
+    the soliton on the grid extended by M cells per side: the inner products
+    <u, u_lam(.-a_m)> come from one zero-padded (linear, so nothing wraps
+    around) FFT correlation per component, ||u_lam(.-a_m)||^2 from a running
+    window sum, and the phase from the closed form theta*(a_m).
+    """
+    g = f.grid
+    n, dx = g.n, g.dx
+    m_max = int(math.floor(SCAN_HALFWIDTH / dx))
+    width = n + 2 * m_max
+    us, vs = ev(g.x_min + dx * np.arange(-m_max, n + m_max), t)
+    # corr[r] = sum_j conj(u_j) us[j + r]; shift a_m reads window r = m_max - m
+    r = slice(2 * m_max, None, -1)
+    cu = np.fft.ifft(np.conj(np.fft.fft(f.u, width)) * np.fft.fft(us))[r]
+    cv = np.fft.ifft(np.conj(np.fft.fft(f.v, width)) * np.fft.fft(vs))[r]
+
+    def window_sq(w: np.ndarray) -> np.ndarray:
+        run = np.concatenate(([0.0], np.cumsum(np.abs(w) ** 2)))
+        return (run[n:] - run[:-n])[r]
+
+    corr = cu + cv
+    ph = np.exp(-1j * np.angle(corr))
+    du2 = np.sum(np.abs(f.u) ** 2) + window_sq(us) - 2.0 * (ph * cu).real
+    dv2 = np.sum(np.abs(f.v) ** 2) + window_sq(vs) - 2.0 * (ph * cv).real
+    # du2, dv2 can cancel to slightly below 0 at an orbit point
+    dists = np.sqrt(dx * np.maximum(du2, 0.0)) + np.sqrt(dx * np.maximum(dv2, 0.0))
+    return dx * np.arange(-m_max, m_max + 1), dists
+
+
+def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> ModulationFit:
+    """The norm-sum distance to the soliton orbit, minimized over the shift.
+
+    Returns dist = ||u - e^{-i theta*} u_lam(.-a*,t)|| + ||v - e^{-i theta*} v_lam(.-a*,t)||.
+    The shift a* minimizes this norm-sum: an FFT correlation gives it at
+    every grid shift |a| <= SCAN_HALFWIDTH, and golden-section refinement
+    of the bracket around the best one, then a parabolic polish, locate it
+    to |da| < 1e-6.  At each shift the phase is the closed form theta* =
+    arg(<u, u_lam(.-a,t)> + <v, v_lam(.-a,t)>), which minimizes
+    ||du||^2 + ||dv||^2; it is not re-optimized for the norm-sum.  The
+    soliton is shifted analytically, so no field interpolation enters.
     """
     ev = soliton_evaluator(p)
-    dx = f.grid.dx
-    step = 8.0 * dx
-    coarse = np.arange(-SCAN_HALFWIDTH, SCAN_HALFWIDTH + 0.5 * step, step)
-    dists = [_orbit_distance(f, ev, t, a)[0] for a in coarse]
+    shifts, dists = _shift_scan(f, ev, t)
     j = int(np.argmin(dists))
-    lo = coarse[max(j - 1, 0)]
-    hi = coarse[min(j + 1, len(coarse) - 1)]
+    lo = shifts[max(j - 1, 0)]
+    hi = shifts[min(j + 1, len(shifts) - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
@@ -227,7 +262,11 @@ def _capture_samples(f0: SpinorField, t_end: float, step_indices: set[int]) -> d
 
 def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorField,
                         seed: tuple[float, float]):
-    """Choose (a, theta) for the up map to best match the target field."""
+    """Choose (a, theta) for the up map to best match the target field.
+
+    Returns (distance, a, theta, converged); converged is the optimizer's
+    exit status, False when it stopped at its iteration or evaluation cap.
+    """
     def objective(params):
         a, th = params
         try:
@@ -242,7 +281,7 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
                    options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200})
     if opt.fun < best[0]:
         best = (float(opt.fun), float(opt.x[0]), float(opt.x[1]))
-    return best
+    return (*best, bool(opt.success))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -277,6 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
+    not_converged = 0
     for k, t in zip(idx, snapped):
         fit = None
         chg = float("nan")
@@ -295,8 +335,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 # then refine (a, theta) against the direct field itself
                 seed_a = p.alpha * fit.a_star
                 seed_th = fit.theta_star - p.beta * p.nu * fit.a_star
-                cross, a_fit, th_fit = _fit_reconstruction(
+                cross, _, _, converged = _fit_reconstruction(
                     pq_t, jost, lam, f_t, (seed_a, seed_th))
+                not_converged += not converged
             else:
                 rec0 = up_map(pq_t, jost, lam, 0.0, 0.0)
                 chg = charge(rec0)
@@ -306,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         crosses.append(cross)
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
-                            pq0_norm, eps_measured)
+                            pq0_norm, eps_measured, not_converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mtmlab.fields import Grid
+
+# reproducible property tests with no wall-clock deadline on a loaded host
+settings.register_profile("mtmlab", derandomize=True, deadline=None)
+settings.load_profile("mtmlab")
 
 
 @pytest.fixture(scope="session")

@@ -201,7 +201,7 @@ def test_round_trip_recovers_input(grid, perturbed):
     small = l2_norm(pq0)
     jost = solve_time_bvp(pq0, res.lam, 0.0)
     from mtmlab.stability import _fit_reconstruction
-    dist, a_fit, th_fit = _fit_reconstruction(pq0, jost, res.lam, f0, (0.0, 0.0))
+    dist, a_fit, th_fit, _ = _fit_reconstruction(pq0, jost, res.lam, f0, (0.0, 0.0))
     assert dist <= 2 * small
     rec = up_map(pq0, jost, res.lam, a_fit, th_fit)
     assert combined_l2_distance(rec, f0) <= 2 * small

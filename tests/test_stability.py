@@ -2,12 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
+from mtmlab import stability
+from mtmlab.cli import main
 from mtmlab.errors import ParameterError
-from mtmlab.fields import SpinorField, combined_l2_distance
-from mtmlab.solitons import SpectralParameter, stationary_soliton, stationary_soliton_evaluator
+from mtmlab.fields import Grid, SpinorField, combined_l2_distance, inner_product
+from mtmlab.solitons import (
+    SpectralParameter,
+    soliton_evaluator,
+    stationary_soliton,
+    stationary_soliton_evaluator,
+)
 from mtmlab.stability import (
+    SCAN_HALFWIDTH,
     ExperimentConfig,
+    _orbit_distance,
+    _shift_scan,
     format_records_csv,
     format_summary_csv,
     make_perturbed_initial,
@@ -18,6 +31,7 @@ from mtmlab.stability import (
 
 GAMMA0 = np.pi / 2
 P0 = SpectralParameter.from_polar(GAMMA0)
+MAX_ROLL = int(5.0 / Grid.symmetric().dx)   # rolls of the default grid with |m dx| <= 5
 
 
 def short_config(**kw):
@@ -56,18 +70,61 @@ def test_distance_bounded_by_unmodulated(grid):
     assert 0.0 < fit.dist <= raw <= 0.02
 
 
-def test_orbit_invariance(grid):
-    cfg = short_config(epsilon=0.01)
+@pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2])
+def test_shift_scan_matches_direct_evaluation(grid_small, gamma):
+    # pi/8 has the widest tails: a correlation that wraps around the domain
+    # instead of shifting the soliton analytically fails near |a| = SCAN_HALFWIDTH
+    cfg = short_config(gamma0=gamma, epsilon=0.01, grid=grid_small)
     f = make_perturbed_initial(cfg)
-    fit0 = modulated_distance(f, P0, 0.0)
-    shift_cells = 48
-    a0 = shift_cells * grid.dx
-    th0 = 0.8
-    g = SpinorField(grid, np.exp(-1j * th0) * np.roll(f.u, shift_cells),
-                    np.exp(-1j * th0) * np.roll(f.v, shift_cells))
+    ev = soliton_evaluator(SpectralParameter.from_polar(gamma))
+    shifts, dists = _shift_scan(f, ev, 0.7)
+    dx = grid_small.dx
+    assert np.diff(shifts) == pytest.approx(dx, rel=1e-12)
+    assert -SCAN_HALFWIDTH <= shifts[0] < -SCAN_HALFWIDTH + dx
+    assert SCAN_HALFWIDTH - dx < shifts[-1] <= SCAN_HALFWIDTH
+    direct = np.array([_orbit_distance(f, ev, 0.7, a)[0] for a in shifts])
+    assert np.abs(dists - direct).max() < 1e-10
+
+
+def test_phase_convention(grid):
+    # a* minimizes the norm-sum; theta* is the closed-form phase at a*,
+    # which minimizes the squared sum ||du||^2 + ||dv||^2 there
+    f = make_perturbed_initial(short_config(epsilon=0.1))
+    t = 0.5
+    fit = modulated_distance(f, P0, t)
+    us, vs = soliton_evaluator(P0)(grid.x - fit.a_star, t)
+    corr = inner_product(f, SpinorField(grid, us, vs))
+    assert abs(np.angle(np.exp(1j * (fit.theta_star - np.angle(corr))))) < 1e-12
+
+    def orbit_point(th):
+        return SpinorField(grid, np.exp(-1j * th) * us, np.exp(-1j * th) * vs)
+
+    def squared_sum(th):
+        g = orbit_point(th)
+        return np.sum(np.abs(f.u - g.u) ** 2) + np.sum(np.abs(f.v - g.v) ** 2)
+
+    assert fit.dist == pytest.approx(combined_l2_distance(f, orbit_point(fit.theta_star)),
+                                     rel=1e-12)
+    for dth in (-1e-3, 1e-3):
+        assert squared_sum(fit.theta_star + dth) > squared_sum(fit.theta_star)
+
+
+@pytest.fixture(scope="module")
+def perturbed_fit(grid):
+    f = make_perturbed_initial(short_config(epsilon=0.01))
+    return f, modulated_distance(f, P0, 0.0)
+
+
+@settings(max_examples=15)
+@given(m=st.integers(-MAX_ROLL, MAX_ROLL), th0=st.floats(-np.pi, np.pi))
+@example(m=48, th0=0.8)
+def test_orbit_invariance(grid, perturbed_fit, m, th0):
+    f, fit0 = perturbed_fit
+    g = SpinorField(grid, np.exp(-1j * th0) * np.roll(f.u, m),
+                    np.exp(-1j * th0) * np.roll(f.v, m))
     fit1 = modulated_distance(g, P0, 0.0)
     assert abs(fit1.dist - fit0.dist) < 1e-8
-    assert fit1.a_star - fit0.a_star == pytest.approx(a0, abs=1e-5)
+    assert fit1.a_star - fit0.a_star == pytest.approx(m * grid.dx, abs=1e-5)
     wrapped = (fit1.theta_star - fit0.theta_star - th0) % (2 * np.pi)
     assert min(wrapped, 2 * np.pi - wrapped) < 1e-5
 
@@ -145,6 +202,7 @@ def test_backlund_leg(both_result):
     assert all(np.isfinite(c) for c in both_result.cross_l2)
     assert both_result.cross_l2[0] < 1e-5
     assert max(both_result.cross_l2) < 5e-3
+    assert both_result.fits_not_converged == 0
 
 
 def test_direct_only_pipeline():
@@ -196,3 +254,22 @@ def test_summary_csv_format():
     lines = text.strip().split("\n")
     assert lines[0].startswith("epsilon,status,lambda_err")
     assert len(lines) == 3
+
+
+# -- reconstruction-fit status ------------------------------------------------------
+
+def _unconverged_minimize(fun, x0, **kwargs):
+    return OptimizeResult(x=np.asarray(x0, dtype=float), fun=fun(x0), success=False, nfev=1)
+
+
+def test_cli_reports_unconverged_fits(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(stability, "minimize", _unconverged_minimize)
+    out_dir = tmp_path / "exp"
+    code = main(["stability", "--gamma0", str(GAMMA0), "--epsilon", "0.01",
+                 "--seed", "3", "--t-end", "2", "--grid-n", "2048",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["stability: eps=0.01 2 of 2 reconstruction fits did not converge"]
+    header = (out_dir / "records.csv").read_text().split("\n")[0]
+    assert header == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
