@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown pipeline {self.pipeline!r}")
         if not math.isfinite(self.t_end) or self.t_end <= 0:
             raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
+        if self.times is not None and not all(math.isfinite(t) and t >= 0 for t in self.times):
+            raise ParameterError(f"sample times must be finite and nonnegative, got {self.times}")
 
     def sample_times(self) -> tuple[float, ...]:
         if self.times is not None:
@@ -244,19 +246,20 @@ def make_perturbed_initial(cfg: ExperimentConfig) -> SpinorField:
 # experiment engine
 # ---------------------------------------------------------------------------
 
-def _capture_samples(f0: SpinorField, t_end: float, step_indices: set[int]) -> dict[int, SpinorField]:
-    """Evolve f0 and keep snapshots at the requested step indices (f0 itself at 0)."""
-    if t_end <= 0:
-        return {0: f0}
-    cfg = EvolutionConfig(dt=f0.grid.dx, t_end=t_end)
+def _capture_samples(f0: SpinorField, step_indices: set[int]) -> dict[int, SpinorField]:
+    """Evolve f0 and keep snapshots at the requested step indices (f0 itself at 0).
+
+    Each gap between consecutive indices is one `evolve` call, so one merged
+    Strang segment.
+    """
+    dx = f0.grid.dx
     captured: dict[int, SpinorField] = {}
-
-    def obs(t: float, f: SpinorField) -> None:
-        k = int(round(t / f0.grid.dx))
-        if k in step_indices:
-            captured[k] = f
-
-    evolve(f0, cfg, observer=obs)
+    k_prev, f = 0, f0
+    for k in sorted(step_indices):
+        if k > k_prev:
+            f = evolve(f, EvolutionConfig(dt=dx, t_end=(k - k_prev) * dx))
+            k_prev = k
+        captured[k] = f
     return captured
 
 
@@ -264,8 +267,9 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
                         seed: tuple[float, float]):
     """Choose (a, theta) for the up map to best match the target field.
 
-    Returns (distance, a, theta, converged); converged is the optimizer's
-    exit status, False when it stopped at its iteration or evaluation cap.
+    Returns (distance, a, theta, converged).  A fit that stops at its
+    iteration or evaluation cap is restarted once from where it stopped;
+    converged is False only when the restart stops unconverged too.
     """
     def objective(params):
         a, th = params
@@ -277,8 +281,10 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
 
     a0, th0 = seed
     best = (objective((a0, th0)), a0, th0)
-    opt = minimize(objective, x0=[a0, th0], method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200})
+    options = {"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200}
+    opt = minimize(objective, x0=[a0, th0], method="Nelder-Mead", options=options)
+    if not opt.success:
+        opt = minimize(objective, x0=opt.x, method="Nelder-Mead", options=options)
     if opt.fun < best[0]:
         best = (float(opt.fun), float(opt.x[0]), float(opt.x[1]))
     return (*best, bool(opt.success))
@@ -300,19 +306,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     idx = [int(round(t / dx)) for t in times]
     snapped = [k * dx for k in idx]
     want = set(idx)
-    t_max = max(snapped)
 
     do_direct = cfg.pipeline in ("direct", "both")
     do_back = cfg.pipeline in ("backlund", "both")
 
-    direct_fields = _capture_samples(f0, t_max, want) if do_direct else {}
+    direct_fields = _capture_samples(f0, want) if do_direct else {}
 
     pq_fields: dict[int, SpinorField] = {}
     pq0_norm = float("nan")
     if do_back:
         pq0 = down_map(f0, eig)
         pq0_norm = l2_norm(pq0)
-        pq_fields = _capture_samples(pq0, t_max, want)
+        pq_fields = _capture_samples(pq0, want)
 
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
@@ -363,6 +368,7 @@ class SweepRow:
     max_dist: float
     fitted_c: float
     max_cross_l2: float
+    fits_not_converged: int         # reconstruction fits that stopped unconverged
 
 
 @dataclass(frozen=True)
@@ -392,7 +398,7 @@ def sweep(cfg: ExperimentConfig, epsilons) -> SweepResult:
             res = run_experiment(replace(cfg, epsilon=float(eps)))
         except MtmError as exc:
             rows.append(SweepRow(float(eps), f"failed: {exc}", float("nan"),
-                                 float("nan"), float("nan"), float("nan"), float("nan")))
+                                 float("nan"), float("nan"), float("nan"), float("nan"), 0))
             results.append(None)
             continue
         max_dist = max(r.dist for r in res.records)
@@ -404,6 +410,7 @@ def sweep(cfg: ExperimentConfig, epsilons) -> SweepResult:
             max_dist,
             max_dist / eps if eps > 0 else float("nan"),
             max(finite_cross) if finite_cross else float("nan"),
+            res.fits_not_converged,
         ))
         results.append(res)
 
@@ -428,7 +435,7 @@ def sweep(cfg: ExperimentConfig, epsilons) -> SweepResult:
 
 RECORDS_HEADER = "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
 SUMMARY_HEADER = ("epsilon,status,lambda_err,pq0_norm,max_dist,fitted_c,max_cross_l2,"
-                  "slope_lambda,slope_pq,slope_dist")
+                  "slope_lambda,slope_pq,slope_dist,fits_not_converged")
 
 
 def format_records_csv(records) -> str:
@@ -448,7 +455,7 @@ def format_summary_csv(sw: SweepResult) -> str:
     lines = [SUMMARY_HEADER]
     for r in sw.rows:
         status = r.status.replace(",", ";")
-        lines.append("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+        lines.append("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
             r.epsilon, status, r.lambda_err, r.pq0_norm, r.max_dist,
-            r.fitted_c, r.max_cross_l2, slam, spq, sd))
+            r.fitted_c, r.max_cross_l2, slam, spq, sd, r.fits_not_converged))
     return "\n".join(lines) + "\n"

@@ -189,8 +189,10 @@ def test_stability_sweep_csvs(tmp_path):
                 "--out-dir", str(out_dir)])
     assert code == 0
     summary = (out_dir / "summary.csv").read_text().strip().split("\n")
-    assert summary[0].startswith("epsilon,status")
+    assert summary[0] == ("epsilon,status,lambda_err,pq0_norm,max_dist,fitted_c,max_cross_l2,"
+                          "slope_lambda,slope_pq,slope_dist,fits_not_converged")
     assert len(summary) == 3
+    assert [row.split(",")[-1] for row in summary[1:]] == ["0", "0"]
     assert (out_dir / "records_eps0p01.csv").exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtmlab.errors import ParameterError, StepError
 from mtmlab.evolution import EvolutionConfig, charge, evolve, step
@@ -7,11 +9,24 @@ from mtmlab.fields import Grid, SpinorField, combined_l2_distance, sup_norm
 from mtmlab.solitons import stationary_soliton
 
 
+GRID = Grid.symmetric()
+
+
+def bumped_soliton(grid, amp, center, width, k, v_weight):
+    """The gamma = pi/2 soliton plus a Gaussian bump in u and v_weight times it in v."""
+    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    bump = amp * np.exp(-(grid.x - center) ** 2 / width) * np.exp(1j * k * grid.x)
+    return SpinorField(grid, sol.u + bump, sol.v + v_weight * bump)
+
+
+# small perturbations (amp <= 0.1) as bumped_soliton arguments
+perturbations = st.tuples(st.floats(0.0, 0.1), st.floats(-3.0, 3.0), st.floats(1.0, 8.0),
+                          st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))
+
+
 @pytest.fixture(scope="module")
 def perturbed(grid):
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
-    bump = 0.05 * np.exp(-(grid.x - 1) ** 2 / 4) * np.exp(0.3j * grid.x)
-    return SpinorField(grid, sol.u + bump, sol.v + 0.5 * bump)
+    return bumped_soliton(grid, 0.05, 1.0, 4.0, 0.3, 0.5)
 
 
 def test_zero_field_fixed_point(grid):
@@ -45,10 +60,14 @@ def test_soliton_tracking_second_order():
     assert all(1.8 <= o <= 2.2 for o in orders)
 
 
-def test_charge_conserved_long_run(grid, perturbed):
-    c0 = charge(perturbed)
+@settings(max_examples=5)
+@given(pert=perturbations, stride=st.integers(1, 1365))
+@example(pert=(0.05, 1.0, 4.0, 0.3, 0.5), stride=64)
+def test_charge_conserved_long_run(pert, stride):
+    f0 = bumped_soliton(GRID, *pert)
+    c0 = charge(f0)
     drifts = []
-    evolve(perturbed, EvolutionConfig(dt=grid.dx, t_end=20.0, output_stride=64),
+    evolve(f0, EvolutionConfig(dt=GRID.dx, t_end=20.0, output_stride=stride),
            observer=lambda t, f: drifts.append(abs(charge(f) - c0) / c0))
     assert max(drifts) < 1e-6
 
@@ -59,10 +78,45 @@ def test_charge_conserved_per_step(grid, perturbed):
     assert abs(charge(out) - c0) / c0 < 1e-12
 
 
-def test_time_reversal(grid, perturbed):
-    fwd = evolve(perturbed, EvolutionConfig(dt=grid.dx, t_end=5.0))
-    back = evolve(fwd, EvolutionConfig(dt=-grid.dx, t_end=5.0))
-    assert combined_l2_distance(back, perturbed) < 1e-5
+@settings(max_examples=8)
+@given(pert=perturbations, stride=st.integers(1, 341))
+@example(pert=(0.05, 1.0, 4.0, 0.3, 0.5), stride=341)
+def test_time_reversal(pert, stride):
+    # a whole number of segments near t = 5, so the backward run's segments
+    # mirror the forward run's and retrace them
+    f0 = bumped_soliton(GRID, *pert)
+    t_end = stride * (341 // stride) * GRID.dx
+    obs = lambda t, f: None  # noqa: E731
+    fwd = evolve(f0, EvolutionConfig(dt=GRID.dx, t_end=t_end, output_stride=stride), obs)
+    back = evolve(fwd, EvolutionConfig(dt=-GRID.dx, t_end=t_end, output_stride=stride), obs)
+    assert combined_l2_distance(back, f0) < 1e-5
+
+
+def test_evolve_at_stride_one_chains_steps(grid, perturbed):
+    cfg = EvolutionConfig(dt=grid.dx, t_end=6 * grid.dx, output_stride=1)
+    snaps = []
+    out = evolve(perturbed, cfg, observer=lambda t, f: snaps.append(f))
+    assert len(snaps) == 7
+    f = perturbed
+    for snap in snaps[1:]:
+        f = step(f, cfg)
+        assert np.array_equal(snap.u, f.u) and np.array_equal(snap.v, f.v)
+    assert np.array_equal(out.u, f.u) and np.array_equal(out.v, f.v)
+
+
+@pytest.mark.parametrize("dt_sign", (1, -1))
+def test_snapshot_restarts_reproduce_the_run(grid, perturbed, dt_sign):
+    # each observation closes one merged segment, so evolving a snapshot over
+    # the next gap gives the next snapshot bit for bit (the last gap is short)
+    stride = 5
+    dt = dt_sign * grid.dx
+    snaps = []
+    evolve(perturbed, EvolutionConfig(dt=dt, t_end=23 * grid.dx, output_stride=stride),
+           observer=lambda t, f: snaps.append((t, f)))
+    assert len(snaps) == 6
+    for (t0, a), (t1, b) in zip(snaps, snaps[1:]):
+        c = evolve(a, EvolutionConfig(dt=dt, t_end=abs(t1 - t0)))
+        assert np.array_equal(c.u, b.u) and np.array_equal(c.v, b.v)
 
 
 def test_translation_equivariance(grid, perturbed):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from mtmlab import stability
+from mtmlab.backlund import up_map
 from mtmlab.cli import main
 from mtmlab.errors import ParameterError
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, inner_product
+from mtmlab.lax import solve_time_bvp
 from mtmlab.solitons import (
     SpectralParameter,
     soliton_evaluator,
@@ -175,6 +177,9 @@ def test_config_validation(grid):
         ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, t_end=float("inf"))
     with pytest.raises(ParameterError):
         ExperimentConfig(gamma0=GAMMA0, epsilon=float("nan"))
+    for times in ((0.0, -2.0), (0.0, float("nan"))):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, times=times)
 
 
 # -- pipelines --------------------------------------------------------------------
@@ -262,6 +267,27 @@ def _unconverged_minimize(fun, x0, **kwargs):
     return OptimizeResult(x=np.asarray(x0, dtype=float), fun=fun(x0), success=False, nfev=1)
 
 
+@pytest.mark.parametrize("statuses, converged", (([False, True], True),
+                                                  ([False, False], False)))
+def test_unconverged_fit_is_restarted_once(monkeypatch, grid_small, statuses, converged):
+    starts = []
+
+    def fake_minimize(fun, x0, **kwargs):
+        starts.append(np.asarray(x0, dtype=float))
+        x = starts[-1] + 0.25
+        return OptimizeResult(x=x, fun=fun(x), success=statuses[len(starts) - 1], nfev=1)
+
+    monkeypatch.setattr(stability, "minimize", fake_minimize)
+    zero = SpinorField.zero(grid_small)
+    jost = solve_time_bvp(zero, P0.lam, 0.0)
+    target = up_map(zero, jost, P0.lam, 0.5, 0.5)
+    dist, a, th, ok = stability._fit_reconstruction(zero, jost, P0.lam, target, (0.0, 0.0))
+    assert ok is converged
+    assert len(starts) == 2
+    assert np.array_equal(starts[1], starts[0] + 0.25)   # restarted where it stopped
+    assert (a, th) == (0.5, 0.5) and dist < 1e-12
+
+
 def test_cli_reports_unconverged_fits(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(stability, "minimize", _unconverged_minimize)
     out_dir = tmp_path / "exp"
@@ -273,3 +299,6 @@ def test_cli_reports_unconverged_fits(monkeypatch, capsys, tmp_path):
     assert err == ["stability: eps=0.01 2 of 2 reconstruction fits did not converge"]
     header = (out_dir / "records.csv").read_text().split("\n")[0]
     assert header == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
+    summary = (out_dir / "summary.csv").read_text().split("\n")
+    assert summary[0].endswith(",fits_not_converged")
+    assert summary[1].split(",")[-1] == "2"
