@@ -316,7 +316,8 @@ def _cmd_stability(args) -> int:
         if len(epsilons) == 1:
             rec_path = os.path.join(out_dir, "records.csv")
             print(f"stability: eps={row.epsilon} lambda={res.lam:.9g} "
-                  f"max dist={row.max_dist:.4e}")
+                  f"secant iterations={res.eigen_iterations} "
+                  f"|E|={res.evans_residual:.2e} max dist={row.max_dist:.4e}")
         else:
             tag = ("%g" % row.epsilon).replace(".", "p").replace("-", "m")
             rec_path = os.path.join(out_dir, f"records_eps{tag}.csv")

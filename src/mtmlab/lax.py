@@ -3,10 +3,13 @@
 The spatial spectral problem d/dx psi = L(u, v, lambda) psi is solved in a
 gauge-transformed frame that removes the (i/4)(|u|^2-|v|^2) sigma3 term and
 the constant diagonal exponent, so the reduced unknowns stay O(1) and each
-one-sided solution is integrated in its numerically stable direction.  An
-eigenvalue exists exactly when the two one-sided (Jost) solutions are
-collinear; the Evans function measures that and a complex secant iteration
-finds its roots.
+one-sided solution is integrated in its numerically stable direction.  The
+gauge exponentials depend on the field alone and are computed once per
+field; per lambda, one RK4 transfer matrix per cell is built on flat entry
+arrays, and the running product of the transfers is taken in log2(ncell)
+vectorized passes.  An eigenvalue exists exactly when the two one-sided
+(Jost) solutions are collinear; the Evans function measures that and a
+complex secant iteration finds its roots.
 """
 
 from __future__ import annotations
@@ -116,107 +119,103 @@ class JostPair:
     right: SpinorField
 
 
+def _mul2(a, b):
+    """Entrywise 2x2 product of (m00, m01, m10, m11) tuples of arrays or scalars."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
 def _rk4_transfer(ma, mm, mb, h):
-    """Stacked 2x2 RK4 transfer matrices for w' = M(x) w over one (sub)cell."""
+    """RK4 transfer matrices for w' = M(x) w over one cell, as entry tuples.
+
+    ma, mm, mb are M at the cell's start, midpoint and end, each given as
+    (m00, m01, m10, m11) with (ncell,) arrays or scalars as entries.
+    """
     k1 = ma
-    k2 = mm + (0.5 * h) * np.matmul(mm, k1)
-    k3 = mm + (0.5 * h) * np.matmul(mm, k2)
-    k4 = mb + h * np.matmul(mb, k3)
-    eye = np.eye(2, dtype=np.complex128)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = [m + (0.5 * h) * p for m, p in zip(mm, _mul2(mm, k1))]
+    k3 = [m + (0.5 * h) * p for m, p in zip(mm, _mul2(mm, k2))]
+    k4 = [m + h * p for m, p in zip(mb, _mul2(mb, k3))]
+    return tuple(e + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for e, a, b, c, d in zip((1.0, 0.0, 0.0, 1.0), k1, k2, k3, k4))
 
 
-def _propagate(transfers: np.ndarray, w0, forward: bool) -> np.ndarray:
-    """Apply per-cell transfer matrices sequentially; returns (ncell+1, 2)."""
-    ncell = transfers.shape[0]
-    s00 = transfers[:, 0, 0].tolist()
-    s01 = transfers[:, 0, 1].tolist()
-    s10 = transfers[:, 1, 0].tolist()
-    s11 = transfers[:, 1, 1].tolist()
-    out = np.empty((ncell + 1, 2), dtype=np.complex128)
-    a, b = complex(w0[0]), complex(w0[1])
-    if forward:
-        out[0] = (a, b)
-        for j in range(ncell):
-            a, b = s00[j] * a + s01[j] * b, s10[j] * a + s11[j] * b
-            out[j + 1] = (a, b)
-    else:
-        out[ncell] = (a, b)
-        for j in range(ncell - 1, -1, -1):
-            a, b = s00[j] * a + s01[j] * b, s10[j] * a + s11[j] * b
-            out[j] = (a, b)
+def _propagate(transfers, w0, forward: bool) -> np.ndarray:
+    """Carry w0 through the per-cell transfers; returns (2, ncell+1).
+
+    Forward, w_{j+1} = T_j w_j from w_0 = w0; backward, w_j = T_j w_{j+1}
+    from w_ncell = w0.  The running products of the transfers are an
+    inclusive scan under the 2x2 product, taken in log2(ncell) passes: pass
+    d multiplies each product by the one d cells behind it.
+    """
+    t = np.array(transfers, dtype=np.complex128)
+    if not forward:
+        t = t[:, ::-1].copy()
+    ncell = t.shape[1]
+    d = 1
+    while d < ncell:
+        t[:, d:] = _mul2(t[:, d:], t[:, :-d])
+        d *= 2
+    out = np.empty((2, ncell + 1), dtype=np.complex128)
+    out[:, 0] = w0
+    out[0, 1:] = t[0] * w0[0] + t[1] * w0[1]
+    out[1, 1:] = t[2] * w0[0] + t[3] * w0[1]
     if not np.all(np.isfinite(out.view(np.float64))):
         raise IntegrationError("Jost integration produced non-finite values")
-    return out
+    return out if forward else out[:, ::-1]
 
 
 class _JostWorkspace:
     """Per-field precomputation shared by repeated lambda solves.
 
-    Each cell is crossed by one RK4 step, so the field and the gauge phase
-    are needed at the cell start, midpoint and end.
+    Each cell is crossed by one RK4 step, so the field and the gauge
+    exponentials are needed at the cell start, midpoint and end (node
+    arrays of shape (3, ncell)).  `last` memoizes the latest JostPair.
     """
 
     def __init__(self, f: SpinorField):
-        grid = f.grid
-        self.grid = grid
-        cs = CellSampler(grid)
+        self.grid = f.grid
+        cs = CellSampler(f.grid)
         taus = (0.0, 0.5, 1.0)
-        # field values at all RK nodes of every cell, (ncell, nnode)
-        self.u_nodes = cs.values(f.u, taus)
-        self.v_nodes = cs.values(f.v, taus)
-        self.acc_grid = acc = gauge_transform(f)           # (n,) at grid nodes
-        self.acc_nodes = acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)
-
-    def _offdiag(self, lam: complex, acc: np.ndarray, p_phase_sign: int):
-        """Gauge-frame off-diagonal entries at all nodes.
-
-        The (1,2) entry is (i/2)(conj(u)/lam - conj(v) lam) e^{2i s A} with
-        A the accumulated phase integral and s = p_phase_sign (-1 for the
-        left-edge gauge m1, +1 for the right-edge gauge m2); the (2,1) entry
-        carries the inverse phase.
-        """
-        e = np.exp(2j * p_phase_sign * acc)
-        p = 0.5j * (np.conj(self.u_nodes) / lam - np.conj(self.v_nodes) * lam) * e
-        q = 0.5j * (self.u_nodes / lam - self.v_nodes * lam) / e
-        return p, q
+        self.u_nodes = cs.values(f.u, taus).T.copy()
+        self.v_nodes = cs.values(f.v, taus).T.copy()
+        acc = gauge_transform(f)                           # (n,) at grid nodes
+        acc_nodes = (acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)).T
+        # left-edge gauge m1 = e^{iA} and right-edge gauge m2 = e^{i(A_last - A)}
+        # at the grid; p carries e^{-2iA} (left) or e^{2i(A_last - A)} (right)
+        self.m1 = np.exp(1j * acc)
+        self.m2 = np.exp(1j * (acc[-1] - acc))
+        self.e_left = np.exp(-2j * acc_nodes)
+        self.e_right = np.exp(2j * (acc[-1] - acc_nodes))
+        self.last: JostPair | None = None
 
     def reduced(self, lam: complex, side: str) -> np.ndarray:
-        """Reduced Jost trajectory (n, 2) for the requested side.
+        """Reduced Jost trajectory (2, n) for the requested side.
 
         side='left': factor exp(-x k1) off the solution recessive at -inf,
         gauge accumulated from the left edge, init (0, 1).
         side='right': factor exp(+x k1), gauge from the right edge, init (1, 0).
-        Orientation with Re k1 > 0 swaps the factored envelopes.
+        Orientation with Re k1 > 0 swaps the factored envelopes.  The gauge
+        frame's off-diagonal entries are p = (i/2)(conj(u)/lam - conj(v) lam) e
+        and q = (i/2)(u/lam - v lam)/e, with e the chosen edge's node factor.
         """
         k1 = SpectralParameter(lam).k1
-        swapped = k1.real > 0
-        ncell, nnode = self.u_nodes.shape
-        m = np.empty((ncell, nnode, 2, 2), dtype=np.complex128)
-        if side == "left":
-            p, q = self._offdiag(lam, self.acc_nodes, -1)
-            forward = True
-            env_type = ("minus", "plus")[swapped]
-        else:
-            p, q = self._offdiag(lam, self.acc_grid[-1] - self.acc_nodes, +1)
-            forward = False
-            env_type = ("plus", "minus")[swapped]
-        m[..., 0, 1] = p
-        m[..., 1, 0] = q
-        if env_type == "minus":
+        forward = side == "left"
+        e = self.e_left if forward else self.e_right
+        p = 0.5j * (np.conj(self.u_nodes) / lam - np.conj(self.v_nodes) * lam) * e
+        q = 0.5j * (self.u_nodes / lam - self.v_nodes * lam) / e
+        if forward != (k1.real > 0):
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
-            m[..., 0, 0] = 2.0 * k1
-            m[..., 1, 1] = 0.0
-            init = (0.0, 1.0)
+            d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
         else:
             # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
-            m[..., 0, 0] = 0.0
-            m[..., 1, 1] = -2.0 * k1
-            init = (1.0, 0.0)
+            d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
+        nodes = [(d0, p[j], q[j], d1) for j in range(3)]
         if forward:
-            transfers = _rk4_transfer(m[:, 0], m[:, 1], m[:, 2], self.grid.dx)
+            transfers = _rk4_transfer(*nodes, self.grid.dx)
         else:
-            transfers = _rk4_transfer(m[:, 2], m[:, 1], m[:, 0], -self.grid.dx)
+            transfers = _rk4_transfer(*nodes[::-1], -self.grid.dx)
         return _propagate(transfers, init, forward)
 
 
@@ -234,6 +233,8 @@ def solve_jost(f: SpinorField, lam: complex,
         raise DegenerateExponentError(
             "lambda^2 is (numerically) real: spatial exponents degenerate")
     ws = _workspace if _workspace is not None else _JostWorkspace(f)
+    if ws.last is not None and ws.last.lam == lam:
+        return ws.last
     grid = ws.grid
     k1 = SpectralParameter(lam).k1
     swapped = k1.real > 0
@@ -241,15 +242,14 @@ def solve_jost(f: SpinorField, lam: complex,
     wl = ws.reduced(lam, "left")
     wr = ws.reduced(lam, "right")
 
-    m1 = np.exp(1j * ws.acc_grid)
-    m2 = np.exp(1j * (ws.acc_grid[-1] - ws.acc_grid))
-
+    m1, m2 = ws.m1, ws.m2
     sign_left = +1 if swapped else -1     # left envelope exp(sign * k1 * x)
     env_l = np.exp(sign_left * k1 * grid.x)
     env_r = np.exp(-sign_left * k1 * grid.x)
-    left = SpinorField(grid, m1 * env_l * wl[:, 0], np.conj(m1) * env_l * wl[:, 1])
-    right = SpinorField(grid, np.conj(m2) * env_r * wr[:, 0], m2 * env_r * wr[:, 1])
-    return JostPair(lam, left, right)
+    left = SpinorField(grid, m1 * env_l * wl[0], np.conj(m1) * env_l * wl[1])
+    right = SpinorField(grid, np.conj(m2) * env_r * wr[0], m2 * env_r * wr[1])
+    ws.last = JostPair(lam, left, right)
+    return ws.last
 
 
 def evans_function(f: SpinorField, lam: complex,

@@ -105,6 +105,8 @@ class ExperimentResult:
     pq0_norm: float
     initial_distance: float
     fits_not_converged: int          # reconstruction fits that stopped unconverged
+    eigen_iterations: int            # secant iterations of the eigenvalue search
+    evans_residual: float            # |E| at the eigenvalue found
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         crosses.append(cross)
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
-                            pq0_norm, eps_measured, not_converged)
+                            pq0_norm, eps_measured, not_converged,
+                            eig.iterations, eig.evans_residual)
 
 
 # ---------------------------------------------------------------------------

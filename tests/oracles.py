@@ -3,16 +3,37 @@
 Everything here is deliberately built from different machinery than the
 code under test: direct quadrature of closed forms, finite-difference
 residuals of the governing equations, a pointwise collinearity measure,
-and a Crank-Nicolson propagator for the temporal linear system.
+a Crank-Nicolson propagator for the temporal linear system, and the
+cell-by-cell Jost kernel (stacked np.matmul RK4 transfers, sequential
+propagation) that the log-depth running product replaced.  It also holds
+the perturbed-soliton family the property tests draw from.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mtmlab.errors import DegenerateVectorError
+from mtmlab.errors import DegenerateVectorError, IntegrationError
 from mtmlab.fields import Grid, SpinorField, d_dx
 from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L
-from mtmlab.solitons import sample_spinor, stationary_soliton_evaluator
+from mtmlab.solitons import (
+    SpectralParameter,
+    sample_spinor,
+    stationary_soliton,
+    stationary_soliton_evaluator,
+)
+
+
+def bumped_soliton(grid, amp, center, width, k, v_weight):
+    """The gamma = pi/2 soliton plus a Gaussian bump in u and v_weight times it in v."""
+    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    bump = amp * np.exp(-(grid.x - center) ** 2 / width) * np.exp(1j * k * grid.x)
+    return SpinorField(grid, sol.u + bump, sol.v + v_weight * bump)
+
+
+# small perturbations (amp <= 0.1) as bumped_soliton arguments
+perturbations = st.tuples(st.floats(0.0, 0.1), st.floats(-3.0, 3.0), st.floats(1.0, 8.0),
+                          st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))
 
 
 def soliton_charge_quadrature(gamma: float) -> float:
@@ -127,3 +148,64 @@ def collinearity_defect(a: SpinorField, b: SpinorField) -> float:
     if denom == 0:
         raise DegenerateVectorError("both vectors vanish everywhere")
     return float(np.sqrt(np.sum(np.abs(cross) ** 2)) / denom)
+
+
+def rk4_transfer_matmul(ma, mm, mb, h):
+    """Stacked 2x2 RK4 transfer matrices for w' = M(x) w over one cell."""
+    k1 = ma
+    k2 = mm + (0.5 * h) * np.matmul(mm, k1)
+    k3 = mm + (0.5 * h) * np.matmul(mm, k2)
+    k4 = mb + h * np.matmul(mb, k3)
+    eye = np.eye(2, dtype=np.complex128)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def propagate_sequential(transfers: np.ndarray, w0, forward: bool) -> np.ndarray:
+    """Apply per-cell transfer matrices one cell at a time; returns (ncell+1, 2)."""
+    ncell = transfers.shape[0]
+    s00 = transfers[:, 0, 0].tolist()
+    s01 = transfers[:, 0, 1].tolist()
+    s10 = transfers[:, 1, 0].tolist()
+    s11 = transfers[:, 1, 1].tolist()
+    out = np.empty((ncell + 1, 2), dtype=np.complex128)
+    a, b = complex(w0[0]), complex(w0[1])
+    if forward:
+        out[0] = (a, b)
+        for j in range(ncell):
+            a, b = s00[j] * a + s01[j] * b, s10[j] * a + s11[j] * b
+            out[j + 1] = (a, b)
+    else:
+        out[ncell] = (a, b)
+        for j in range(ncell - 1, -1, -1):
+            a, b = s00[j] * a + s01[j] * b, s10[j] * a + s11[j] * b
+            out[j] = (a, b)
+    if not np.all(np.isfinite(out.view(np.float64))):
+        raise IntegrationError("Jost integration produced non-finite values")
+    return out
+
+
+def sequential_reduced(ws, lam: complex, side: str) -> np.ndarray:
+    """Drop-in for `_JostWorkspace.reduced` on the cell-by-cell kernel.
+
+    Builds the (ncell, 3, 2, 2) gauge-frame matrices at the RK nodes from the
+    workspace's field samples and gauge factors, then runs
+    `rk4_transfer_matmul` and `propagate_sequential`; returns (2, n).
+    """
+    k1 = SpectralParameter(lam).k1
+    forward = side == "left"
+    e = (ws.e_left if forward else ws.e_right).T
+    u, v = ws.u_nodes.T, ws.v_nodes.T
+    m = np.zeros((u.shape[0], 3, 2, 2), dtype=np.complex128)
+    m[..., 0, 1] = 0.5j * (np.conj(u) / lam - np.conj(v) * lam) * e
+    m[..., 1, 0] = 0.5j * (u / lam - v * lam) / e
+    if forward != (k1.real > 0):
+        m[..., 0, 0] = 2.0 * k1        # envelope e^{-x k1}
+        init = (0.0, 1.0)
+    else:
+        m[..., 1, 1] = -2.0 * k1       # envelope e^{+x k1}
+        init = (1.0, 0.0)
+    if forward:
+        transfers = rk4_transfer_matmul(m[:, 0], m[:, 1], m[:, 2], ws.grid.dx)
+    else:
+        transfers = rk4_transfer_matmul(m[:, 2], m[:, 1], m[:, 0], -ws.grid.dx)
+    return propagate_sequential(transfers, init, forward).T

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtmlab.backlund import (
     RiccatiField,
@@ -11,7 +13,7 @@ from mtmlab.backlund import (
 )
 from mtmlab.errors import DegenerateVectorError, ParameterError
 from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
-from mtmlab.lax import assemble_L, find_eigenvalue, solve_time_bvp
+from mtmlab.lax import assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
 from mtmlab.evolution import EvolutionConfig, charge, evolve
 from mtmlab.solitons import (
     SpectralParameter,
@@ -22,7 +24,7 @@ from mtmlab.solitons import (
     stationary_soliton,
 )
 
-from oracles import collinearity_defect, spatial_residual
+from oracles import bumped_soliton, collinearity_defect, perturbations, spatial_residual
 
 LAM0 = np.exp(0.25j * np.pi)
 
@@ -132,6 +134,33 @@ def test_riccati_invariance_under_backlund(grid):
     out = backlund_transform(SpinorField.zero(grid), phi, p.lam)
     ric = RiccatiField.from_lax_vector(phi).reciprocal_conjugate()
     assert riccati_residual(ric, out, p.lam) < 1e-4
+
+
+@settings(max_examples=40)
+@given(r=st.floats(0.7, 1.4), arg=st.floats(np.pi / 4 + 0.1, np.pi / 2 - 1e-9),
+       pert=perturbations)
+@example(r=1.03, arg=np.pi / 4 + 0.1, pert=(0.1, -1.0, 4.3, -0.68, 0.35 - 0.86j))
+def test_riccati_residual_of_jost_solutions(grid, r, arg, pert):
+    """Both Jost solutions satisfy the spatial Riccati equation.
+
+    Each is tested in the ratio over its dominant component: Gamma =
+    phi1/phi2 for the left solution, and phi2/phi1 for the right one, which
+    is the Riccati variable of the mirrored problem (u, v, lam) ->
+    (-conj(v), -conj(u), 1/lam).  At arguments below the eigenvalue's the
+    left solution's phi2 nearly vanishes near the unit circle, and the
+    difference stencil of riccati_residual cannot follow Gamma through the
+    pole.  These perturbations move the eigenvalue's argument off pi/4 by up
+    to 0.063 (the example's field, at |lam| = 1.03), hence the lower limit
+    pi/4 + 0.1.
+    """
+    f = bumped_soliton(grid, *pert)
+    lam = r * np.exp(1j * arg)
+    pair = solve_jost(f, lam)
+    mirrored = SpinorField(grid, -np.conj(f.v), -np.conj(f.u))
+    right_flipped = SpinorField(grid, pair.right.v, pair.right.u)
+    assert riccati_residual(RiccatiField.from_lax_vector(pair.left), f, lam) < 1e-6
+    assert riccati_residual(RiccatiField.from_lax_vector(right_flipped),
+                            mirrored, 1.0 / lam) < 1e-6
 
 
 def test_riccati_rejects_random_data(grid, rng):

@@ -6,6 +6,7 @@ import pytest
 
 from mtmlab.cli import RunManifest, file_digest, load_config, main
 from mtmlab.fields import Grid, SpinorField, l2_norm_sq, read_field_csv, write_field_csv
+from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS
 
 
 GAMMA = 1.5707963267948966
@@ -167,12 +168,16 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env.csv").exists()
 
 
-def test_stability_subcommand(tmp_path):
+def test_stability_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01",
                 "--seed", "3", "--t-end", "2", "--pipeline", "both",
                 "--grid-n", "2048", "--out-dir", str(out_dir)])
     assert code == 0
+    out = capsys.readouterr().out
+    iterations = int(out.split("secant iterations=")[1].split()[0])
+    evans = float(out.split("|E|=")[1].split()[0])
+    assert 1 <= iterations <= MAX_SECANT_ITERATIONS and evans < EVANS_TOL
     lines = (out_dir / "records.csv").read_text().strip().split("\n")
     assert lines[0] == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
     assert len(lines) == 3   # t = 0 and t = 2 plus header

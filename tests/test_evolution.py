@@ -8,20 +8,10 @@ from mtmlab.evolution import EvolutionConfig, charge, evolve, step
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, sup_norm
 from mtmlab.solitons import stationary_soliton
 
+from oracles import bumped_soliton, perturbations
+
 
 GRID = Grid.symmetric()
-
-
-def bumped_soliton(grid, amp, center, width, k, v_weight):
-    """The gamma = pi/2 soliton plus a Gaussian bump in u and v_weight times it in v."""
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
-    bump = amp * np.exp(-(grid.x - center) ** 2 / width) * np.exp(1j * k * grid.x)
-    return SpinorField(grid, sol.u + bump, sol.v + v_weight * bump)
-
-
-# small perturbations (amp <= 0.1) as bumped_soliton arguments
-perturbations = st.tuples(st.floats(0.0, 0.1), st.floats(-3.0, 3.0), st.floats(1.0, 8.0),
-                          st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))
 
 
 @pytest.fixture(scope="module")

@@ -29,12 +29,15 @@ from mtmlab.lax import (
     solve_jost,
     solve_time_bvp,
 )
+from mtmlab import lax
 from mtmlab.evolution import EvolutionConfig, evolve
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector, stationary_soliton
+from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
 from oracles import (
     collinearity_defect,
     propagate_lax_in_time,
+    sequential_reduced,
     spatial_residual,
     zero_curvature_residual,
 )
@@ -148,6 +151,34 @@ def test_jost_zero_field_exact(grid):
     assert np.abs(pair.left.v - np.exp(-k1 * grid.x)).max() < 1e-8
     assert np.abs(pair.right.v).max() == 0.0
     assert np.abs(pair.right.u - np.exp(k1 * grid.x)).max() < 1e-8
+    assert pair.left.v[0] == np.exp(-k1 * grid.x[0])
+    assert pair.right.u[-1] == np.exp(k1 * grid.x[-1])
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2, 3 * np.pi / 4])
+def test_jost_matches_sequential_oracle(gamma, eps, monkeypatch):
+    """The log-depth running product agrees with the cell-by-cell kernel.
+
+    Each solution is compared on its stable half-line (left on x <= 0,
+    right on x >= 0); beyond it both methods carry amplified rounding.
+    """
+    f = make_perturbed_initial(ExperimentConfig(gamma0=gamma, epsilon=eps,
+                                                perturbation_seed=1))
+    lam0 = np.exp(0.5j * gamma)          # the eigenvalue itself at eps = 0
+    lams = [0.8 * lam0, lam0, 1.25 * lam0, 1.1 * np.exp(0.5j * (np.pi + gamma))]
+    assert SpectralParameter(lams[-1]).k1.real > 0      # swapped orientation
+    pairs = [solve_jost(f, lam) for lam in lams]
+    monkeypatch.setattr(lax._JostWorkspace, "reduced", sequential_reduced)
+    x = f.grid.x
+    for lam, pair in zip(lams, pairs):
+        ref = solve_jost(f, lam)
+        for got, want, half in ((pair.left, ref.left, x <= 0),
+                                (pair.right, ref.right, x >= 0)):
+            scale = max(np.abs(want.u[half]).max(), np.abs(want.v[half]).max())
+            dev = max(np.abs(got.u[half] - want.u[half]).max(),
+                      np.abs(got.v[half] - want.v[half]).max())
+            assert dev <= 1e-12 * scale
 
 
 def test_jost_edge_normalization(grid, soliton):

@@ -11,7 +11,7 @@ from mtmlab.backlund import up_map
 from mtmlab.cli import main
 from mtmlab.errors import ParameterError
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, inner_product
-from mtmlab.lax import solve_time_bvp
+from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS, solve_time_bvp
 from mtmlab.solitons import (
     SpectralParameter,
     soliton_evaluator,
@@ -208,6 +208,8 @@ def test_backlund_leg(both_result):
     assert both_result.cross_l2[0] < 1e-5
     assert max(both_result.cross_l2) < 5e-3
     assert both_result.fits_not_converged == 0
+    assert 1 <= both_result.eigen_iterations <= MAX_SECANT_ITERATIONS
+    assert both_result.evans_residual < EVANS_TOL
 
 
 def test_direct_only_pipeline():
