@@ -6,7 +6,6 @@ from .fields import (  # noqa: F401
     Grid,
     SpinorField,
     combined_l2_distance,
-    h1_seminorm,
     inner_product,
     l2_norm,
     l2_norm_sq,

@@ -35,7 +35,3 @@ class OrthogonalityError(MtmError, ValueError):
 
 class NoEigenvalueError(MtmError, RuntimeError):
     """Root finding on the Evans function failed to converge near the guess."""
-
-
-class StepError(MtmError, RuntimeError):
-    """A time step failed (midpoint fixed-point iteration did not converge)."""

@@ -128,10 +128,6 @@ def combined_l2_distance(f: SpinorField, g: SpinorField) -> float:
     return float(d1 + d2)
 
 
-def sup_norm(f: SpinorField) -> float:
-    return float(max(np.abs(f.u).max(), np.abs(f.v).max()))
-
-
 # ---------------------------------------------------------------------------
 # discrete derivatives
 # ---------------------------------------------------------------------------
@@ -145,13 +141,6 @@ def d_dx(arr: np.ndarray, grid: Grid, accuracy: int = 2) -> np.ndarray:
         return (np.roll(arr, 2) - 8 * np.roll(arr, 1)
                 + 8 * np.roll(arr, -1) - np.roll(arr, -2)) / (12 * h)
     raise ValueError("accuracy must be 2 or 4")
-
-
-def h1_seminorm(f: SpinorField) -> float:
-    """L2 norm of the centered-difference spatial derivative (H1 diagnostic)."""
-    d1 = d_dx(f.u, f.grid)
-    d2 = d_dx(f.v, f.grid)
-    return float(np.sqrt(integrate(np.abs(d1) ** 2 + np.abs(d2) ** 2, f.grid).real))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,11 @@ def spatial_residual(op: LaxOperatorSample, vec: SpinorField, trim: int = 2) -> 
     return float(np.sqrt(op.grid.dx * np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
 
 
+def sup_norm(f: SpinorField) -> float:
+    """The largest modulus of either component over the grid."""
+    return float(max(np.abs(f.u).max(), np.abs(f.v).max()))
+
+
 def collinearity_defect(a: SpinorField, b: SpinorField) -> float:
     """Magnitude-weighted L2 defect of pointwise collinearity of two vectors.
 

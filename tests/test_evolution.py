@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mtmlab.errors import ParameterError, StepError
-from mtmlab.evolution import EvolutionConfig, charge, evolve, step
-from mtmlab.fields import Grid, SpinorField, combined_l2_distance, sup_norm
+from mtmlab.errors import MtmError, ParameterError
+from mtmlab.evolution import EvolutionConfig, _local_update, charge, evolve, step
+from mtmlab.fields import Grid, SpinorField, combined_l2_distance
 from mtmlab.solitons import stationary_soliton
 
-from oracles import bumped_soliton, perturbations
+from oracles import bumped_soliton, perturbations, sup_norm
 
 
 GRID = Grid.symmetric()
@@ -26,10 +27,11 @@ def test_zero_field_fixed_point(grid):
     assert np.abs(out.v).max() == 0.0
 
 
-def test_uniform_state_exact_solution():
-    # u = v = c0 real stays uniform and rotates at rate 1 + c0^2
+@pytest.mark.parametrize("c0", (0.5, 40.0))
+def test_uniform_state_exact_solution(c0):
+    # u = v = c0 real stays uniform and rotates at rate 1 + c0^2; the two
+    # subflows commute on this state, so even c0 = 40 is solved to rounding
     g = Grid(0.0, 0.008, 8)
-    c0 = 0.5
     f = SpinorField(g, np.full(8, c0 + 0j), np.full(8, c0 + 0j))
     out = evolve(f, EvolutionConfig(dt=1e-3, t_end=1.0))
     exact = c0 * np.exp(1j * (1 + c0 ** 2) * 1.0)
@@ -153,10 +155,39 @@ def test_dt_must_match_dx(grid, perturbed):
         step(perturbed, EvolutionConfig(dt=0.5, t_end=1.0))
 
 
-def test_midpoint_divergence_raises(grid):
-    huge = SpinorField(grid, np.full(grid.n, 40.0 + 0j), np.full(grid.n, 40.0 + 0j))
-    with pytest.raises(StepError):
-        step(huge, EvolutionConfig(dt=grid.dx, t_end=grid.dx))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_field_raises_typed_error(grid):
+    # |v|^2 overflows, and the field built at the segment end rejects the
+    # non-finite samples before any observer sees them
+    huge = SpinorField(grid, np.full(grid.n, 1e200 + 0j), np.full(grid.n, 1e200 + 0j))
+    seen = []
+    with pytest.raises(MtmError):
+        evolve(huge, EvolutionConfig(dt=grid.dx, t_end=4 * grid.dx, output_stride=2),
+               observer=lambda t, f: seen.append(f))
+    assert len(seen) == 1
+    assert all(np.isfinite(f.u).all() and np.isfinite(f.v).all() for f in seen)
+
+
+_amplitudes = arrays(np.complex128, 64,
+                     elements=st.complex_numbers(max_magnitude=40.0, allow_nan=False,
+                                                 allow_infinity=False))
+
+
+@settings(max_examples=50)
+@given(u=_amplitudes, v=_amplitudes, tau=st.floats(-2 * GRID.dx, 2 * GRID.dx))
+def test_local_update_unitary_and_reversible(u, v, tau):
+    # both subflows are exact and pointwise unitary, so the charge density is
+    # kept to rounding and the update with -tau undoes the update with tau.
+    # The phase tau |v|^2 is rounded relative to its size, so the reversal
+    # error grows with it: measured <= 2 eps (1 + |tau| rho), 2.5e-14 at 40.
+    rho = np.abs(u) ** 2 + np.abs(v) ** 2
+    u1, v1 = _local_update(u, v, tau)
+    assert np.all(np.abs(np.abs(u1) ** 2 + np.abs(v1) ** 2 - rho) <= 1e-14 * rho)
+    u2, v2 = _local_update(u1, v1, -tau)
+    tol = 8 * np.finfo(float).eps * (1 + abs(tau) * rho) * np.sqrt(rho)
+    assert np.all(np.abs(u2 - u) <= tol)
+    assert np.all(np.abs(v2 - v) <= tol)
 
 
 def test_config_validation():

@@ -6,7 +6,6 @@ from mtmlab.fields import (
     Grid,
     SpinorField,
     combined_l2_distance,
-    h1_seminorm,
     inner_product,
     l2_norm_sq,
     read_field_csv,
@@ -104,24 +103,6 @@ def test_inner_product_null_vector_pairings(grid):
     val = inner_product(s3eta, phi)
     assert abs(val) > 0.1
     assert val.real == pytest.approx(2 * np.pi, abs=1e-8)
-
-
-def test_h1_seminorm_constant(grid):
-    ones = np.ones(grid.n, complex)
-    assert h1_seminorm(SpinorField(grid, ones, ones)) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_h1_seminorm_sine():
-    g = Grid(-np.pi, np.pi, 4096)
-    f = SpinorField(g, np.sin(g.x).astype(complex), np.zeros(g.n))
-    assert h1_seminorm(f) == pytest.approx(np.sqrt(np.pi), abs=1e-3)
-
-
-def test_h1_seminorm_eigenvector_grid_converged():
-    vals = [h1_seminorm(soliton_eigenvector(np.pi / 2, 0.0, Grid.symmetric(30.0, n)))
-            for n in (2048, 4096)]
-    assert np.isfinite(vals).all()
-    assert vals[0] == pytest.approx(vals[1], rel=1e-3)
 
 
 def test_quadrature_domain_enlargement(grid):
