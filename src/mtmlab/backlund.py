@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, ParameterError
+from .errors import DegenerateVectorError, GridMismatchError
 from .fields import Grid, SpinorField, d_dx, integrate
 from .lax import EigenResult, JostPair
 from .solitons import SpectralParameter, require_gamma, require_lambda
@@ -41,7 +41,7 @@ def backlund_transform(f: SpinorField, phi: SpinorField, lam: complex) -> Spinor
     wherever phi does not vanish.
     """
     if f.grid != phi.grid:
-        raise ParameterError("field and Lax vector live on different grids")
+        raise GridMismatchError("field and Lax vector live on different grids")
     p = SpectralParameter(complex(lam))
     delta, gamma = p.delta, require_gamma(p.gamma)
     _check_nonvanishing(phi)
@@ -113,7 +113,7 @@ def riccati_residual(g: RiccatiField, f: SpinorField, lam: complex) -> float:
     (where no centered stencil exists) and invalid samples are excluded.
     """
     if g.grid != f.grid:
-        raise ParameterError("Riccati field and background live on different grids")
+        raise GridMismatchError("Riccati field and background live on different grids")
     lam = require_lambda(lam)
     rho1 = 0.5 / lam
     rho2 = 0.5 * lam
@@ -156,7 +156,7 @@ def up_map(f_t: SpinorField, jost: JostPair, lam: complex, a: float, theta: floa
     theta: u = i e^{-i theta} delta^{-1} sin(g) sech(alpha(x + nu t) - a - i g/2) e^{-i beta(t + nu x)}.
     """
     if f_t.grid != jost.left.grid:
-        raise ParameterError("field and Jost pair live on different grids")
+        raise GridMismatchError("field and Jost pair live on different grids")
     c1 = np.exp(0.5 * (a + 1j * theta))
     c2 = 1.0 / c1
     phi = SpinorField(f_t.grid,

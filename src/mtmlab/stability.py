@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .backlund import down_map, up_map
 from .errors import MtmError, ParameterError
@@ -161,9 +161,9 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
 
     Returns dist = ||u - e^{-i theta*} u_lam(.-a*,t)|| + ||v - e^{-i theta*} v_lam(.-a*,t)||.
     The shift a* minimizes this norm-sum: an FFT correlation gives it at
-    every grid shift |a| <= SCAN_HALFWIDTH, and golden-section refinement
-    of the bracket around the best one, then a parabolic polish, locate it
-    to |da| < 1e-6.  At each shift the phase is the closed form theta* =
+    every grid shift |a| <= SCAN_HALFWIDTH, and Brent's bounded minimizer
+    on dist^2 between the best one's neighbours refines it.  At each shift
+    the phase is the closed form theta* =
     arg(<u, u_lam(.-a,t)> + <v, v_lam(.-a,t)>), which minimizes
     ||du||^2 + ||dv||^2; it is not re-optimized for the norm-sum.  The
     soliton is shifted analytically, so no field interpolation enters.
@@ -171,36 +171,17 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     ev = soliton_evaluator(p)
     shifts, dists = _shift_scan(f, ev, t)
     j = int(np.argmin(dists))
-    lo = shifts[max(j - 1, 0)]
-    hi = shifts[min(j + 1, len(shifts) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = _orbit_distance(f, ev, t, c)[0]
-    fd = _orbit_distance(f, ev, t, d)[0]
-    while hi - lo > 1e-6:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = _orbit_distance(f, ev, t, c)[0]
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = _orbit_distance(f, ev, t, d)[0]
-    a_star = 0.5 * (lo + hi)
+    a0 = shifts[j]
+    # Brent on dist^2 (smooth at an orbit point, where dist has a corner) in
+    # the offset from a0: the bounded method's tolerance grows with |x|.
+    # dist^2 is flat to rounding within ~1e-8 * dist of its minimum, and a
+    # tolerance below that only adds golden-section steps.
+    opt = minimize_scalar(lambda d: _orbit_distance(f, ev, t, a0 + d)[0] ** 2,
+                          bounds=(shifts[max(j - 1, 0)] - a0,
+                                  shifts[min(j + 1, len(shifts) - 1)] - a0),
+                          method="bounded", options={"xatol": 1e-10 + 3e-7 * dists[j]})
+    a_star = a0 + opt.x
     dist, theta = _orbit_distance(f, ev, t, a_star)
-    # final parabolic polish on dist^2 (exactly quadratic at an orbit point,
-    # where the golden bracket alone would leave an O(|da|) distance floor)
-    hp = max(hi - lo, 1e-6)
-    dm = _orbit_distance(f, ev, t, a_star - hp)[0] ** 2
-    dp = _orbit_distance(f, ev, t, a_star + hp)[0] ** 2
-    curv = dp - 2.0 * dist ** 2 + dm
-    if curv > 0:
-        a_v = a_star - 0.5 * hp * (dp - dm) / curv
-        d_v, th_v = _orbit_distance(f, ev, t, a_v)
-        if d_v < dist:
-            a_star, dist, theta = a_v, d_v, th_v
     return ModulationFit(dist, float(a_star), float(theta))
 
 
@@ -281,15 +262,11 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
             return 1e6
         return combined_l2_distance(rec, target)
 
-    a0, th0 = seed
-    best = (objective((a0, th0)), a0, th0)
     options = {"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200}
-    opt = minimize(objective, x0=[a0, th0], method="Nelder-Mead", options=options)
+    opt = minimize(objective, x0=seed, method="Nelder-Mead", options=options)
     if not opt.success:
         opt = minimize(objective, x0=opt.x, method="Nelder-Mead", options=options)
-    if opt.fun < best[0]:
-        best = (float(opt.fun), float(opt.x[0]), float(opt.x[1]))
-    return (*best, bool(opt.success))
+    return float(opt.fun), *opt.x, opt.success
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

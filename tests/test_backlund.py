@@ -11,9 +11,9 @@ from mtmlab.backlund import (
     riccati_residual,
     up_map,
 )
-from mtmlab.errors import DegenerateVectorError, ParameterError
+from mtmlab.errors import DegenerateVectorError, GridMismatchError, ParameterError
 from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
-from mtmlab.lax import assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
+from mtmlab.lax import JostPair, assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
 from mtmlab.evolution import EvolutionConfig, charge, evolve
 from mtmlab.solitons import (
     SpectralParameter,
@@ -82,6 +82,17 @@ def test_backlund_rejects_bad_parameters(grid):
     phi = free_lax_vector(SpectralParameter.from_polar(np.pi / 2), 0.0, grid)
     with pytest.raises(ParameterError):
         backlund_transform(SpinorField.zero(grid), phi, -1.0 + 0j)   # gamma = 2 pi
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, phi: backlund_transform(f, phi, LAM0),
+    lambda f, phi: riccati_residual(RiccatiField.from_lax_vector(phi), f, LAM0),
+    lambda f, phi: up_map(f, JostPair(LAM0, phi, phi), LAM0, 0.0, 0.0),
+], ids=["backlund_transform", "riccati_residual", "up_map"])
+def test_grid_mismatch_is_typed(grid, grid_small, call):
+    phi = SpinorField(grid_small, np.ones(grid_small.n, complex), np.ones(grid_small.n, complex))
+    with pytest.raises(GridMismatchError):
+        call(SpinorField.zero(grid), phi)
 
 
 def test_pushforward_pointwise(grid):

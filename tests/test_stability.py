@@ -111,6 +111,40 @@ def test_phase_convention(grid):
         assert squared_sum(fit.theta_star + dth) > squared_sum(fit.theta_star)
 
 
+def _shifted_soliton(grid):
+    ev = stationary_soliton_evaluator(GAMMA0)
+    u, v = ev(grid.x - 0.7, 0.0)
+    return SpinorField(grid, np.exp(-1.1j) * u, np.exp(-1.1j) * v), 0.0
+
+
+def _phase_convention_field(grid):
+    return make_perturbed_initial(short_config(epsilon=0.1)), 0.5
+
+
+@pytest.mark.parametrize("case", [_phase_convention_field, _shifted_soliton])
+def test_shift_is_a_local_minimum(grid, case):
+    f, t = case(grid)
+    fit = modulated_distance(f, P0, t)
+    ev = soliton_evaluator(P0)
+    for h in (1e-3 * grid.dx, 0.1 * grid.dx, grid.dx):
+        for a in (fit.a_star - h, fit.a_star + h):
+            assert _orbit_distance(f, ev, t, a)[0] >= fit.dist
+
+
+@pytest.mark.parametrize("case", [_phase_convention_field, _shifted_soliton])
+def test_orbit_distance_evaluations_per_call(monkeypatch, grid, case):
+    f, t = case(grid)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _orbit_distance(*args)
+
+    monkeypatch.setattr(stability, "_orbit_distance", counted)
+    modulated_distance(f, P0, t)
+    assert 0 < len(calls) <= 20
+
+
 @pytest.fixture(scope="module")
 def perturbed_fit(grid):
     f = make_perturbed_initial(short_config(epsilon=0.01))
