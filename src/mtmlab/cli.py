@@ -317,6 +317,7 @@ def _cmd_stability(args) -> int:
             rec_path = os.path.join(out_dir, "records.csv")
             print(f"stability: eps={row.epsilon} lambda={res.lam:.9g} "
                   f"secant iterations={res.eigen_iterations} "
+                  f"fit evaluations={res.fit_evaluations} "
                   f"|E|={res.evans_residual:.2e} max dist={row.max_dist:.4e}")
         else:
             tag = ("%g" % row.epsilon).replace(".", "p").replace("-", "m")

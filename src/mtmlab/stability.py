@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .backlund import down_map, up_map
+from .backlund import down_map, up_map, up_map_tangents
 from .errors import MtmError, ParameterError
 from .evolution import EvolutionConfig, charge, evolve
 from .fields import (
@@ -105,6 +106,7 @@ class ExperimentResult:
     pq0_norm: float
     initial_distance: float
     fits_not_converged: int          # reconstruction fits that stopped unconverged
+    fit_evaluations: int             # objective evaluations over the reconstruction fits
     eigen_iterations: int            # secant iterations of the eigenvalue search
     evans_residual: float            # |E| at the eigenvalue found
 
@@ -246,27 +248,120 @@ def _capture_samples(f0: SpinorField, step_indices: set[int]) -> dict[int, Spino
     return captured
 
 
+#: the reconstruction fit stops when its gradient norm falls below FIT_GTOL; a
+#: fit that stops otherwise still counts as converged when its Gauss-Newton
+#: step is at most FIT_STEP_TOL
+FIT_GTOL = 1e-8
+FIT_STEP_TOL = 1e-9
+#: objective value where the up map fails; no accepted step can reach it
+FIT_PENALTY = 1e6
+
+
+class _FitPoint:
+    """The reconstruction-fit objective at one (a, theta).
+
+    `fun` is ||r_u|| + ||r_v|| with r = up_map(a, theta) - target, computed as
+    combined_l2_distance does.  With J_c the tangents of up_map, the gradient
+    is g = sum_c g_c, g_c = Re<r_c, J_c>/||r_c||, and the Gauss-Newton Hessian
+    is sum_c (Re J_c^H J_c - g_c g_c^T)/||r_c||; a component with r_c = 0
+    adds nothing.  They are computed on first use: dogleg asks for them only
+    at the points it accepts.
+    """
+
+    def __init__(self, rec: SpinorField, target: SpinorField, tangents):
+        self.dx = target.grid.dx
+        self.residuals = (rec.u - target.u, rec.v - target.v)
+        self.norms = tuple(np.sqrt(integrate(np.abs(r) ** 2, target.grid))
+                           for r in self.residuals)
+        self.fun = float(self.norms[0] + self.norms[1])
+        self.tangents = tangents
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Gauss-Newton Hessian) in (a, theta)."""
+        grad, hess = np.zeros(2), np.zeros((2, 2))
+        for r, norm, jac in zip(self.residuals, self.norms, self.tangents()):
+            if norm > 0:
+                cj = np.conj(jac)
+                g = self.dx * (cj @ r).real / norm
+                grad += g
+                hess += (self.dx * (cj @ jac.T).real - np.outer(g, g)) / norm
+        return grad, hess
+
+
 def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorField,
-                        seed: tuple[float, float]):
+                        seed: tuple[float, float], evaluations: list[int] | None = None):
     """Choose (a, theta) for the up map to best match the target field.
 
-    Returns (distance, a, theta, converged).  A fit that stops at its
-    iteration or evaluation cap is restarted once from where it stopped;
-    converged is False only when the restart stops unconverged too.
-    """
-    def objective(params):
-        a, th = params
-        try:
-            rec = up_map(pq_t, jost, lam, a, th)
-        except MtmError:
-            return 1e6
-        return combined_l2_distance(rec, target)
+    Minimizes the _FitPoint objective, the norm-sum that cross_l2 reports,
+    by Powell's dogleg trust-region method.  Where up_map raises, the
+    objective is FIT_PENALTY with zero gradient and unit Hessian, so a trial
+    step there is rejected.
 
-    options = {"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200}
-    opt = minimize(objective, x0=seed, method="Nelder-Mead", options=options)
-    if not opt.success:
-        opt = minimize(objective, x0=opt.x, method="Nelder-Mead", options=options)
-    return float(opt.fun), *opt.x, opt.success
+    Returns (distance, a, theta, converged).  A fit converges when scipy
+    reports success or, since dogleg can stop at the rounding floor with a
+    model that no longer predicts a decrease, when the Gauss-Newton step at
+    the returned point is at most FIT_STEP_TOL.  An unconverged fit is
+    restarted once from where it stopped; a fit that ends on the penalty
+    never converges.  The number of up map evaluations is appended to
+    `evaluations` when it is given.
+    """
+    # only the two newest points are kept: each holds several field-sized
+    # arrays, and dogleg asks for derivatives right after a point's value
+    points: dict[bytes, _FitPoint | None] = {}
+    evaluated = 0
+
+    def point(x) -> _FitPoint | None:
+        nonlocal evaluated
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in points:
+            if len(points) == 2:
+                del points[next(iter(points))]
+            evaluated += 1
+            try:
+                rec, tangents = up_map_tangents(pq_t, jost, lam, *x)
+            except MtmError:
+                points[key] = None
+            else:
+                points[key] = _FitPoint(rec, target, tangents)
+        return points[key]
+
+    def fun(x) -> float:
+        p = point(x)
+        return FIT_PENALTY if p is None else p.fun
+
+    def jac(x) -> np.ndarray:
+        p = point(x)
+        return np.zeros(2) if p is None else p.derivatives[0]
+
+    def hess(x) -> np.ndarray:
+        p = point(x)
+        return np.eye(2) if p is None else p.derivatives[1]
+
+    def converged(opt) -> bool:
+        p = point(opt.x)
+        if p is None:
+            return False
+        if opt.success:
+            return True
+        try:
+            step = np.linalg.solve(p.derivatives[1], p.derivatives[0])
+        except np.linalg.LinAlgError:      # no Newton step, e.g. at r = 0
+            return False
+        return bool(np.hypot(*step) <= FIT_STEP_TOL)
+
+    def fit(x0):
+        return minimize(fun, x0=x0, method="dogleg", jac=jac, hess=hess,
+                        options={"gtol": FIT_GTOL})
+
+    opt = fit(seed)
+    ok = converged(opt)
+    if not ok:
+        opt = fit(opt.x)
+        ok = converged(opt)
+    if evaluations is not None:
+        evaluations.append(evaluated)
+    return float(opt.fun), *opt.x, ok
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -301,6 +396,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
     not_converged = 0
+    fit_evaluations: list[int] = []
     for k, t in zip(idx, snapped):
         fit = None
         chg = float("nan")
@@ -320,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 seed_a = p.alpha * fit.a_star
                 seed_th = fit.theta_star - p.beta * p.nu * fit.a_star
                 cross, _, _, converged = _fit_reconstruction(
-                    pq_t, jost, lam, f_t, (seed_a, seed_th))
+                    pq_t, jost, lam, f_t, (seed_a, seed_th), fit_evaluations)
                 not_converged += not converged
             else:
                 rec0 = up_map(pq_t, jost, lam, 0.0, 0.0)
@@ -331,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         crosses.append(cross)
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
-                            pq0_norm, eps_measured, not_converged,
+                            pq0_norm, eps_measured, not_converged, sum(fit_evaluations),
                             eig.iterations, eig.evans_residual)
 
 

@@ -5,16 +5,19 @@ code under test: direct quadrature of closed forms, finite-difference
 residuals of the governing equations, a pointwise collinearity measure,
 a Crank-Nicolson propagator for the temporal linear system, and the
 cell-by-cell Jost kernel (stacked np.matmul RK4 transfers, sequential
-propagation) that the log-depth running product replaced.  It also holds
-the perturbed-soliton family the property tests draw from.
+propagation) that the log-depth running product replaced, and the
+derivative-free Nelder-Mead reconstruction fit that the dogleg fit replaced.
+It also holds the perturbed-soliton family the property tests draw from.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
-from mtmlab.errors import DegenerateVectorError, IntegrationError
-from mtmlab.fields import Grid, SpinorField, d_dx
+from mtmlab.backlund import up_map
+from mtmlab.errors import DegenerateVectorError, IntegrationError, MtmError
+from mtmlab.fields import Grid, SpinorField, combined_l2_distance, d_dx
 from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L
 from mtmlab.solitons import (
     SpectralParameter,
@@ -214,3 +217,24 @@ def sequential_reduced(ws, lam: complex, side: str) -> np.ndarray:
     else:
         transfers = rk4_transfer_matmul(m[:, 2], m[:, 1], m[:, 0], -ws.grid.dx)
     return propagate_sequential(transfers, init, forward).T
+
+
+def nelder_mead_fit(pq_t, jost, lam: complex, target: SpinorField, seed):
+    """(distance, a, theta, success) of a Nelder-Mead fit of up_map to target.
+
+    Minimizes combined_l2_distance(up_map(pq_t, jost, lam, a, theta), target)
+    with a 1e6 penalty where up_map raises, restarting once from where an
+    unconverged first run stopped.
+    """
+    def objective(params):
+        try:
+            rec = up_map(pq_t, jost, lam, *params)
+        except MtmError:
+            return 1e6
+        return combined_l2_distance(rec, target)
+
+    options = {"xatol": 1e-9, "fatol": 1e-13, "maxiter": 200}
+    opt = minimize(objective, x0=seed, method="Nelder-Mead", options=options)
+    if not opt.success:
+        opt = minimize(objective, x0=opt.x, method="Nelder-Mead", options=options)
+    return float(opt.fun), *opt.x, opt.success

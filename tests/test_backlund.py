@@ -10,6 +10,7 @@ from mtmlab.backlund import (
     pushforward_eigenvector,
     riccati_residual,
     up_map,
+    up_map_tangents,
 )
 from mtmlab.errors import DegenerateVectorError, GridMismatchError, ParameterError
 from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
@@ -174,6 +175,26 @@ def test_riccati_residual_of_jost_solutions(grid, r, arg, pert):
                             mirrored, 1.0 / lam) < 1e-6
 
 
+@settings(max_examples=40)
+@given(r=st.floats(0.7, 1.4), arg=st.floats(0.001, np.pi / 4 + 0.1), pert=perturbations)
+@example(r=1.0, arg=0.001, pert=(0.0, 0.0, 1.0, 0.0, 0j))
+@example(r=1.0, arg=np.pi / 4, pert=(0.0, 0.0, 1.0, 0.0, 0j))
+def test_riccati_residual_below_the_eigenvalue_argument(grid, r, arg, pert):
+    """Both Jost solutions pass the Riccati check at arguments up to pi/4 + 0.1.
+
+    There the left solution's phi2 nearly vanishes near the unit circle, so
+    Gamma has a near-pole, and the residual is taken on 1/Gamma where
+    |Gamma| > 1.  A stencil on Gamma alone reads 2.66 at the first example.
+    Measured: at most 4.3e-7 over 300 random draws of this strategy, and
+    1.39e-6 at the second example, the soliton's own eigenvalue.
+    """
+    f = bumped_soliton(grid, *pert)
+    lam = r * np.exp(1j * arg)
+    pair = solve_jost(f, lam)
+    for phi in (pair.left, pair.right):
+        assert riccati_residual(RiccatiField.from_lax_vector(phi), f, lam) < 3e-6
+
+
 def test_riccati_rejects_random_data(grid, rng):
     sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
     ric = RiccatiField(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n),
@@ -231,6 +252,33 @@ def test_up_map_reconstructs_translated_soliton(grid):
         vref = -phase * s * csech(grid.x * s + 0.5j * np.pi / 2 - a)
         assert np.abs(rec.u - uref).max() < 1e-10
         assert np.abs(rec.v - vref).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def small_field_at_t(grid_small):
+    """A down-mapped perturbed soliton and its time-BVP Jost pair at t = 0.7."""
+    f0 = bumped_soliton(grid_small, 0.05, 0.5, 3.0, 0.4, 0.3 - 0.5j)
+    res = find_eigenvalue(f0, LAM0)
+    pq0 = down_map(f0, res)
+    return pq0, solve_time_bvp(pq0, res.lam, 0.7), res.lam
+
+
+@settings(max_examples=30)
+@given(a=st.floats(-3.0, 3.0), theta=st.floats(-np.pi, np.pi))
+def test_up_map_tangents_match_central_differences(small_field_at_t, a, theta):
+    # measured: central differences with h = 1e-5 agree to 2.4e-10 of the
+    # tangent's largest sample
+    pq, jost, lam = small_field_at_t
+    out, tangents = up_map_tangents(pq, jost, lam, a, theta)
+    ref = up_map(pq, jost, lam, a, theta)
+    assert np.array_equal(out.u, ref.u) and np.array_equal(out.v, ref.v)
+    du, dv = tangents()
+    h = 1e-5
+    for k, (da, dth) in enumerate(((h, 0.0), (0.0, h))):
+        plus = up_map(pq, jost, lam, a + da, theta + dth)
+        minus = up_map(pq, jost, lam, a - da, theta - dth)
+        for d, p, m in ((du[k], plus.u, minus.u), (dv[k], plus.v, minus.v)):
+            assert np.abs((p - m) / (2 * h) - d).max() <= 1e-8 * np.abs(d).max()
 
 
 def test_round_trip_recovers_input(grid, perturbed):

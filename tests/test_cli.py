@@ -176,8 +176,10 @@ def test_stability_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     iterations = int(out.split("secant iterations=")[1].split()[0])
+    evaluations = int(out.split("fit evaluations=")[1].split()[0])
     evans = float(out.split("|E|=")[1].split()[0])
     assert 1 <= iterations <= MAX_SECANT_ITERATIONS and evans < EVANS_TOL
+    assert 2 <= evaluations <= 60   # two reconstruction fits; 33 measured
     lines = (out_dir / "records.csv").read_text().strip().split("\n")
     assert lines[0] == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
     assert len(lines) == 3   # t = 0 and t = 2 plus header

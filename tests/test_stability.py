@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mtmlab.backlund import up_map
 from mtmlab.cli import main
 from mtmlab.errors import ParameterError
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, inner_product
-from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS, solve_time_bvp
+from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS, JostPair, solve_time_bvp
 from mtmlab.solitons import (
     SpectralParameter,
     soliton_evaluator,
@@ -30,6 +31,8 @@ from mtmlab.stability import (
     run_experiment,
     sweep,
 )
+
+from oracles import nelder_mead_fit
 
 GAMMA0 = np.pi / 2
 P0 = SpectralParameter.from_polar(GAMMA0)
@@ -242,6 +245,7 @@ def test_backlund_leg(both_result):
     assert both_result.cross_l2[0] < 1e-5
     assert max(both_result.cross_l2) < 5e-3
     assert both_result.fits_not_converged == 0
+    assert len(recs) <= both_result.fit_evaluations <= 30 * len(recs)
     assert 1 <= both_result.eigen_iterations <= MAX_SECANT_ITERATIONS
     assert both_result.evans_residual < EVANS_TOL
 
@@ -338,3 +342,67 @@ def test_cli_reports_unconverged_fits(monkeypatch, capsys, tmp_path):
     summary = (out_dir / "summary.csv").read_text().split("\n")
     assert summary[0].endswith(",fits_not_converged")
     assert summary[1].split(",")[-1] == "2"
+
+
+# -- reconstruction fit against the Nelder-Mead oracle --------------------------------
+
+@pytest.fixture(scope="module")
+def reconstruction_fits():
+    """The inputs of the fits run_experiment makes at t = 0 and t = 0.5.
+
+    One run perturbs by a Gaussian bump (eps = 0.1), one by a random Fourier
+    field (eps = 0.01), both on n = 2048: four fits in all.
+    """
+    fits = []
+    fit = stability._fit_reconstruction
+
+    def spy(*args):
+        fits.append(args[:5])
+        return fit(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_fit_reconstruction", spy)
+        for shape, eps in (("gaussian_bump", 0.1), ("random_fourier", 0.01)):
+            run_experiment(short_config(epsilon=eps, perturbation_shape=shape,
+                                        grid=Grid.symmetric(30.0, 2048), times=(0.0, 0.5)))
+    return fits
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_fit_matches_nelder_mead_oracle(reconstruction_fits, k):
+    # measured on 159 fits: 6.9e-14 to 5.4e-6 relative below the oracle, with
+    # (a, theta) within 6e-10 of it
+    pq_t, jost, lam, target, seed = reconstruction_fits[k]
+    dist, a, th, ok = stability._fit_reconstruction(pq_t, jost, lam, target, seed)
+    ref_dist, ref_a, ref_th, ref_ok = nelder_mead_fit(pq_t, jost, lam, target, seed)
+    assert ok and ref_ok
+    assert dist <= ref_dist * (1 + 1e-12)
+    assert abs(a - ref_a) <= 1e-8 and abs(th - ref_th) <= 1e-8
+    assert dist == combined_l2_distance(up_map(pq_t, jost, lam, a, th), target)
+
+
+def test_fit_reaches_an_exact_target(grid_small):
+    # the norm-sum has a corner at r = 0; the 1/||r|| terms must not divide 0 by 0
+    zero = SpinorField.zero(grid_small)
+    jost = solve_time_bvp(zero, P0.lam, 0.7)
+    target = up_map(zero, jost, P0.lam, -1.0, 2.0)
+    evaluations = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, a, th, ok = stability._fit_reconstruction(zero, jost, P0.lam, target,
+                                                        (0.3, 1.5), evaluations)
+    assert dist < 1e-12 and ok
+    assert abs(a + 1.0) < 1e-12 and abs(th - 2.0) < 1e-12
+    assert len(evaluations) == 1 and evaluations[0] > 1
+
+
+def test_fit_on_the_penalty_is_unconverged(grid_small):
+    # a vanishing Jost pair makes every up_map raise DegenerateVectorError
+    zero = SpinorField.zero(grid_small)
+    target = up_map(zero, solve_time_bvp(zero, P0.lam, 0.0), P0.lam, 0.0, 0.0)
+    evaluations = []
+    dist, a, th, ok = stability._fit_reconstruction(
+        zero, JostPair(P0.lam, zero, zero), P0.lam, target, (0.2, 0.1), evaluations)
+    assert ok is False
+    assert dist == stability.FIT_PENALTY and (a, th) == (0.2, 0.1)
+    assert evaluations == [1]
