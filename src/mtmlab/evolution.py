@@ -68,8 +68,21 @@ def _local_update(u: np.ndarray, v: np.ndarray, tau: float) -> tuple[np.ndarray,
     # in every update: a steady charge drift, 4e-14 over t = 20 at n = 4096.
     a, s = 2.0 * math.sin(0.25 * tau) ** 2, 1j * math.sin(0.5 * tau)
     u, v = u + (s * v - a * u), v + (s * u - a * v)
-    u, v = u * np.exp(1j * tau * np.abs(v) ** 2), v * np.exp(1j * tau * np.abs(u) ** 2)
+    u, v = u * _phase_factor(v, tau), v * _phase_factor(u, tau)
     return u + (s * v - a * u), v + (s * u - a * v)
+
+
+def _phase_factor(w: np.ndarray, tau: float) -> np.ndarray:
+    """e^{i tau |w|^2}, written as cos and sin of the real phase.
+
+    Bit-identical to np.exp of the imaginary argument at a fraction of its
+    cost; |w|^2 stays np.abs(w) ** 2, because re^2 + im^2 rounds differently.
+    """
+    phase = tau * np.abs(w) ** 2
+    e = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=e.real)
+    np.sin(phase, out=e.imag)
+    return e
 
 
 def _segment(u: np.ndarray, v: np.ndarray, dt: float, s: int) -> tuple[np.ndarray, np.ndarray]:

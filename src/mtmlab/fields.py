@@ -170,36 +170,47 @@ def _basis_integral(xi: np.ndarray) -> np.ndarray:
     return p @ _BASIS.T
 
 
+#: stencil position xi0 of the cell start for the first, interior and last cells
+_CELL_XI0 = np.array([0.0, 1.0, 2.0])
+
+
 class CellSampler:
     """Fourth-order values and running integrals at fractional cell offsets.
 
     For each cell j (between grid points j and j+1) a 4-point stencil is
     chosen (clamped at the boundary); `values(f, taus)` evaluates the cubic
     interpolant at x_j + tau*dx and `running_integral` accumulates
-    int_{x_min}^{x} f with O(dx^4) accuracy.
+    int_{x_min}^{x} f with O(dx^4) accuracy.  Every interior cell j uses
+    the stencil j-1..j+2 at xi = 1 + tau, so the weights exist once per call
+    for the three cell classes (first, interior, last) and the interior is
+    one (n-1, 4) @ (4, m) product, whose first and last rows are then redone.
     """
 
     def __init__(self, grid: Grid):
         n = grid.n
         self.grid = grid
-        j = np.arange(n - 1)
-        s = np.clip(j - 1, 0, n - 4)
+        s = np.clip(np.arange(n - 1) - 1, 0, n - 4)
         self._gather = s[:, None] + np.arange(4)[None, :]     # (n-1, 4)
-        self._xi0 = (j - s).astype(float)                      # (n-1,)
+
+    def _apply(self, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Stencil sums for the weights w (3 cell classes, m, 4); shape (n-1, m)."""
+        stencils = f[self._gather]                             # (n-1, 4)
+        out = stencils @ w[1].T
+        out[0] = stencils[0] @ w[0].T
+        out[-1] = stencils[-1] @ w[2].T
+        return out
 
     def values(self, f: np.ndarray, taus) -> np.ndarray:
         """Interpolated f at x_j + tau*dx for every cell j; shape (n-1, len(taus))."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        xi = self._xi0[:, None] + taus[None, :]
-        w = _basis_weights(xi)                                 # (n-1, m, 4)
-        return np.einsum("jmk,jk->jm", w, f[self._gather])
+        return self._apply(f, _basis_weights(_CELL_XI0[:, None] + taus[None, :]))
 
     def cell_integrals(self, f: np.ndarray, taus) -> np.ndarray:
         """int_{x_j}^{x_j + tau*dx} f for every cell j; shape (n-1, len(taus))."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        w0 = _basis_integral(self._xi0)                        # (n-1, 4)
-        w1 = _basis_integral(self._xi0[:, None] + taus[None, :])
-        return self.grid.dx * np.einsum("jmk,jk->jm", w1 - w0[:, None, :], f[self._gather])
+        w1 = _basis_integral(_CELL_XI0[:, None] + taus[None, :])
+        w0 = _basis_integral(_CELL_XI0)[:, None, :]
+        return self.grid.dx * self._apply(f, w1 - w0)
 
     def running_integral(self, f: np.ndarray) -> np.ndarray:
         """Cumulative integral at the grid nodes, starting at 0 at x_min."""
@@ -245,6 +256,38 @@ def write_lax_csv(vec: SpinorField, path: str) -> None:
     _atomic_write_text(path, _format_rows(vec.grid.x, vec.u, vec.v, LAX_CSV_HEADER))
 
 
+#: ulps around the estimated x_max searched for the grid that wrote a column
+_X_MAX_ULPS = 16
+
+
+def _column_x_max(x: np.ndarray) -> float:
+    """The x_max whose `Grid.x` reproduces the column x bit for bit.
+
+    It is estimated from the mean spacing (x[-1] - x[0])/(n - 1), then looked
+    for within _X_MAX_ULPS ulps.  Neighbouring x_max often share one dx and
+    so one column; of those the shortest decimal wins, which recovers bounds
+    written as round numbers.  A column no grid reproduces (one written with
+    fewer digits) keeps the estimate.
+    """
+    n = len(x)
+    x0 = float(x[0])
+    est = x0 + n * ((x[-1] - x0) / (n - 1))
+    cands, lo, hi = [est], est, est
+    for _ in range(_X_MAX_ULPS):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        cands += [lo, hi]
+
+    def reproduces(c: float) -> bool:
+        g = Grid(x0, c, n)
+        # the last sample is a cheap necessary check before the whole column
+        return x0 + g.dx * (n - 1) == x[-1] and np.array_equal(g.x, x)
+
+    hits = [c for c in map(float, cands) if c > x0 and reproduces(c)]
+    if not hits:
+        return float(est)
+    return min(hits, key=lambda c: (len(repr(c)), abs(c - est)))
+
+
 def _read_rows(path: str, expected_header: str):
     with open(path) as fh:
         header = fh.readline().strip()
@@ -258,7 +301,7 @@ def _read_rows(path: str, expected_header: str):
     dx = np.diff(x)
     if n < 8 or not np.allclose(dx, dx[0], rtol=1e-12, atol=0.0):
         raise FieldValidationError(f"{path}: grid is not uniform")
-    grid = Grid(float(x[0]), float(x[0] + n * dx[0]), n)
+    grid = Grid(float(x[0]), _column_x_max(x), n)
     c1 = data[:, 1] + 1j * data[:, 2]
     c2 = data[:, 3] + 1j * data[:, 4]
     return grid, c1, c2

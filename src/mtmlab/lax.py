@@ -6,10 +6,12 @@ the constant diagonal exponent, so the reduced unknowns stay O(1) and each
 one-sided solution is integrated in its numerically stable direction.  The
 gauge exponentials depend on the field alone and are computed once per
 field; per lambda, one RK4 transfer matrix per cell is built on flat entry
-arrays, and the running product of the transfers is taken in log2(ncell)
-vectorized passes.  An eigenvalue exists exactly when the two one-sided
-(Jost) solutions are collinear; the Evans function measures that and a
-complex secant iteration finds its roots.
+arrays, and the solution is carried through the transfers by a tree scan:
+pairwise products up a balanced tree, then the vector down it, about ncell
+2x2 products and ncell matrix-vector products per side.  An eigenvalue
+exists exactly when the two one-sided (Jost) solutions are collinear; the
+Evans function measures that and a complex secant iteration finds its
+roots.
 """
 
 from __future__ import annotations
@@ -141,26 +143,39 @@ def _rk4_transfer(ma, mm, mb, h):
                  for e, a, b, c, d in zip((1.0, 0.0, 0.0, 1.0), k1, k2, k3, k4))
 
 
+def _apply2(m, w):
+    """Entrywise 2x2 matrix-vector product: (m00, m01, m10, m11) times (w0, w1)."""
+    return (m[0] * w[0] + m[1] * w[1], m[2] * w[0] + m[3] * w[1])
+
+
 def _propagate(transfers, w0, forward: bool) -> np.ndarray:
     """Carry w0 through the per-cell transfers; returns (2, ncell+1).
 
     Forward, w_{j+1} = T_j w_j from w_0 = w0; backward, w_j = T_j w_{j+1}
-    from w_ncell = w0.  The running products of the transfers are an
-    inclusive scan under the 2x2 product, taken in log2(ncell) passes: pass
-    d multiplies each product by the one d cells behind it.
+    from w_ncell = w0.  A work-efficient tree scan: the transfers, padded
+    with identities to the power of two above ncell (so the far edge starts
+    a block), are multiplied pairwise, later times earlier, one level per
+    halving; the down-sweep then carries the vector from the start of each
+    block to the start of its second half.  That is about ncell 2x2
+    products and ncell matrix-vector products.
     """
-    t = np.array(transfers, dtype=np.complex128)
-    if not forward:
-        t = t[:, ::-1].copy()
-    ncell = t.shape[1]
-    d = 1
-    while d < ncell:
-        t[:, d:] = _mul2(t[:, d:], t[:, :-d])
-        d *= 2
-    out = np.empty((2, ncell + 1), dtype=np.complex128)
-    out[:, 0] = w0
-    out[0, 1:] = t[0] * w0[0] + t[1] * w0[1]
-    out[1, 1:] = t[2] * w0[0] + t[3] * w0[1]
+    ncell = len(transfers[0])
+    size = 1 << ncell.bit_length()
+    t = np.zeros((4, size), dtype=np.complex128)
+    t[0, ncell:] = t[3, ncell:] = 1.0
+    t[:, :ncell] = transfers if forward else [e[::-1] for e in transfers]
+    levels = [tuple(t)]
+    while len(levels[-1][0]) > 2:
+        lv = levels[-1]
+        levels.append(_mul2([e[1::2] for e in lv], [e[0::2] for e in lv]))
+    # w[:, i] is the vector at the start of block i of the level being split
+    w = np.array(w0, dtype=np.complex128)[:, None]
+    for lv in reversed(levels):
+        starts = np.empty((2, 2 * w.shape[1]), dtype=np.complex128)
+        starts[:, 0::2] = w
+        starts[:, 1::2] = _apply2([e[0::2] for e in lv], w)
+        w = starts
+    out = w[:, :ncell + 1]
     if not np.all(np.isfinite(out.view(np.float64))):
         raise IntegrationError("Jost integration produced non-finite values")
     return out if forward else out[:, ::-1]

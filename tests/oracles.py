@@ -3,14 +3,17 @@
 Everything here is deliberately built from different machinery than the
 code under test: direct quadrature of closed forms, finite-difference
 residuals of the governing equations, a pointwise collinearity measure,
-a Crank-Nicolson propagator for the temporal linear system, and the
-cell-by-cell Jost kernel (stacked np.matmul RK4 transfers, sequential
-propagation) that the log-depth running product replaced, and the
-derivative-free Nelder-Mead reconstruction fit that the dogleg fit replaced.
+a Crank-Nicolson propagator for the temporal linear system, the per-cell
+cubic sampler (a weight tensor for every cell, product-form Lagrange
+weights) that the shared cell stencil replaced, the cell-by-cell Jost
+kernel (stacked np.matmul RK4 transfers, sequential propagation) that the
+tree scan replaced, and the derivative-free Nelder-Mead reconstruction fit
+that the dogleg fit replaced.
 It also holds the perturbed-soliton family the property tests draw from.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
@@ -156,6 +159,54 @@ def collinearity_defect(a: SpinorField, b: SpinorField) -> float:
     if denom == 0:
         raise DegenerateVectorError("both vectors vanish everywhere")
     return float(np.sqrt(np.sum(np.abs(cross) ** 2)) / denom)
+
+
+def _lagrange_weights(xi: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange weights on the nodes 0..3 in product form; xi.shape + (4,)."""
+    nodes = range(4)
+    return np.stack([np.prod([(xi - m) / (k - m) for m in nodes if m != k], axis=0)
+                     for k in nodes], axis=-1)
+
+
+def _lagrange_integrals(xi: np.ndarray) -> np.ndarray:
+    """int_0^xi of each cubic Lagrange basis polynomial; xi.shape + (4,)."""
+    out = []
+    for k in range(4):
+        others = [m for m in range(4) if m != k]
+        coef = P.polyfromroots(others) / np.prod([k - m for m in others])
+        out.append(P.polyval(xi, P.polyint(coef)))
+    return np.stack(out, axis=-1)
+
+
+class EinsumCellSampler:
+    """The per-cell cubic sampler: one stencil and one weight row per cell.
+
+    Cell j uses the grid points s..s+3 with s = clip(j-1, 0, n-4) and the
+    local coordinate xi = j - s + tau; the (n-1, m, 4) weight tensor is
+    contracted with the gathered samples by np.einsum.  Same interface as
+    `fields.CellSampler`.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        self.grid = grid
+        j = np.arange(n - 1)
+        s = np.clip(j - 1, 0, n - 4)
+        self._gather = s[:, None] + np.arange(4)[None, :]
+        self._xi0 = (j - s).astype(float)
+
+    def values(self, f, taus):
+        xi = self._xi0[:, None] + np.atleast_1d(np.asarray(taus, dtype=float))[None, :]
+        return np.einsum("jmk,jk->jm", _lagrange_weights(xi), f[self._gather])
+
+    def cell_integrals(self, f, taus):
+        xi = self._xi0[:, None] + np.atleast_1d(np.asarray(taus, dtype=float))[None, :]
+        w = _lagrange_integrals(xi) - _lagrange_integrals(self._xi0)[:, None, :]
+        return self.grid.dx * np.einsum("jmk,jk->jm", w, f[self._gather])
+
+    def running_integral(self, f):
+        cell = self.cell_integrals(f, (1.0,))[:, 0]
+        return np.concatenate([[0.0], np.cumsum(cell)])
 
 
 def rk4_transfer_matmul(ma, mm, mb, h):

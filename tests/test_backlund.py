@@ -153,17 +153,17 @@ def test_riccati_invariance_under_backlund(grid):
        pert=perturbations)
 @example(r=1.03, arg=np.pi / 4 + 0.1, pert=(0.1, -1.0, 4.3, -0.68, 0.35 - 0.86j))
 def test_riccati_residual_of_jost_solutions(grid, r, arg, pert):
-    """Both Jost solutions satisfy the spatial Riccati equation.
+    """Both Jost solutions satisfy the spatial Riccati equation above arg pi/4 + 0.1.
 
-    Each is tested in the ratio over its dominant component: Gamma =
-    phi1/phi2 for the left solution, and phi2/phi1 for the right one, which
-    is the Riccati variable of the mirrored problem (u, v, lam) ->
-    (-conj(v), -conj(u), 1/lam).  At arguments below the eigenvalue's the
-    left solution's phi2 nearly vanishes near the unit circle, and the
-    difference stencil of riccati_residual cannot follow Gamma through the
-    pole.  These perturbations move the eigenvalue's argument off pi/4 by up
-    to 0.063 (the example's field, at |lam| = 1.03), hence the lower limit
-    pi/4 + 0.1.
+    The left solution is tested in Gamma = phi1/phi2.  The right one is
+    tested in phi2/phi1, the Riccati variable of the mirrored problem
+    (u, v, lam) -> (-conj(v), -conj(u), 1/lam), so the mirror symmetry of the
+    spatial problem is checked too.  The rest of the quadrant, where the
+    left solution's Gamma passes near a pole and the residual is taken on
+    1/Gamma, is `test_riccati_residual_below_the_eigenvalue_argument`; these
+    perturbations move the eigenvalue's argument off pi/4 by up to 0.063
+    (the example's field, at |lam| = 1.03), so the split at pi/4 + 0.1
+    leaves it on that side.
     """
     f = bumped_soliton(grid, *pert)
     lam = r * np.exp(1j * arg)

@@ -3,6 +3,7 @@ import pytest
 
 from mtmlab.errors import FieldValidationError, GridMismatchError
 from mtmlab.fields import (
+    CellSampler,
     Grid,
     SpinorField,
     combined_l2_distance,
@@ -16,7 +17,7 @@ from mtmlab.fields import (
 from mtmlab.lax import null_vectors
 from mtmlab.solitons import soliton_eigenvector, stationary_soliton
 
-from oracles import soliton_charge_quadrature
+from oracles import EinsumCellSampler, soliton_charge_quadrature
 
 
 def test_grid_geometry(grid):
@@ -135,6 +136,28 @@ def test_field_csv_roundtrip(tmp_path, grid, rng):
     assert np.array_equal(f2.v, f.v)
 
 
+@pytest.mark.parametrize("x_min,x_max,n", [(-30.0, 30.0, 1000), (-30.0, 30.0, 777),
+                                           (-25.0, 25.0, 3000), (-7.0, 7.0, 100),
+                                           (-33.3, 33.3, 5000), (-3.7, 1.85, 1000)])
+def test_csv_roundtrip_keeps_non_dyadic_grid(tmp_path, x_min, x_max, n):
+    """A field read from its own file is on the grid it was written from.
+
+    On the first three the first difference of the x column gave x_max
+    2e-12 too small (29.99999999999872 at L = 30, n = 1000).  On the next
+    two the mean spacing misses x_max by an ulp or two.  On the last,
+    several neighbouring x_max write the same column, and the one nearest
+    the estimate is not 1.85.
+    """
+    grid = Grid(x_min, x_max, n)
+    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    path = tmp_path / "f.csv"
+    write_field_csv(f, str(path))
+    f2 = read_field_csv(str(path))
+    assert f2.grid == grid
+    assert np.array_equal(f2.grid.x, grid.x)
+    assert np.array_equal(f2.u, f.u)
+
+
 def test_lax_csv_roundtrip(tmp_path, grid):
     vec = soliton_eigenvector(np.pi / 3, 0.0, grid)
     path = tmp_path / "v.csv"
@@ -157,3 +180,23 @@ def test_combined_distance_sums_component_norms(grid):
     du = np.sqrt(l2_norm_sq(SpinorField(grid, f.u, np.zeros(grid.n))))
     dv = np.sqrt(l2_norm_sq(SpinorField(grid, f.v, np.zeros(grid.n))))
     assert combined_l2_distance(f, z) == pytest.approx(du + dv, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 9, 1000])
+def test_cell_sampler_matches_per_cell_einsum(rng, n):
+    """The shared stencil weights reproduce the per-cell weight tensor.
+
+    Checked normwise over all cells and separately on the first and last
+    cells, whose clamped stencils use their own weights.
+    """
+    grid = Grid.symmetric(30.0, n)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    taus = (0.0, 0.25, 0.5, 0.7, 1.0)
+    cs, ref = CellSampler(grid), EinsumCellSampler(grid)
+    for got, want in ((cs.values(f, taus), ref.values(f, taus)),
+                      (cs.cell_integrals(f, taus), ref.cell_integrals(f, taus)),
+                      (cs.running_integral(f)[:, None], ref.running_integral(f)[:, None])):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for row in (0, -1):
+            assert np.abs(got[row] - want[row]).max() <= 1e-14 * np.abs(want[row]).max()

@@ -8,6 +8,7 @@ from mtmlab.errors import (
     ParameterError,
 )
 from mtmlab.fields import (
+    Grid,
     SpinorField,
     d_dx,
     inner_product,
@@ -37,6 +38,7 @@ from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 from oracles import (
     collinearity_defect,
     propagate_lax_in_time,
+    propagate_sequential,
     sequential_reduced,
     spatial_residual,
     zero_curvature_residual,
@@ -158,7 +160,7 @@ def test_jost_zero_field_exact(grid):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2, 3 * np.pi / 4])
 def test_jost_matches_sequential_oracle(gamma, eps, monkeypatch):
-    """The log-depth running product agrees with the cell-by-cell kernel.
+    """The tree-scan kernel agrees with the cell-by-cell kernel.
 
     Each solution is compared on its stable half-line (left on x <= 0,
     right on x >= 0); beyond it both methods carry amplified rounding.
@@ -179,6 +181,43 @@ def test_jost_matches_sequential_oracle(gamma, eps, monkeypatch):
             dev = max(np.abs(got.u[half] - want.u[half]).max(),
                       np.abs(got.v[half] - want.v[half]).max())
             assert dev <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [8, 1000, 4097])
+def test_tree_scan_matches_sequential_propagation(n, monkeypatch):
+    """`_propagate` agrees with `propagate_sequential` on the kernel's own transfers.
+
+    The scan pads the cells with identities to the power of two above
+    their count: n = 8 pads 7 cells to 8, n = 1000 pads 999 to 1024, and
+    n = 4097 pads 4096, an exact power of two, to 8192.  The transfers of
+    both sides (left forward, right backward) in both envelope orientations
+    are recorded and replayed through both scans, and the reduced
+    trajectories are compared on the whole line.  The background does not
+    vanish at the edges, so the last transfer moves the vector by O(dx)
+    and a wrong far-edge sample shows.
+    """
+    grid = Grid.symmetric(30.0, n)
+    f = SpinorField(grid, 0.5 * np.exp(0.3j * grid.x), 0.4 * np.exp(-0.2j * grid.x) + 0.2)
+    lams = [0.8 * LAM0, LAM0, 1.1 * np.exp(0.75j * np.pi)]
+    assert SpectralParameter(lams[-1]).k1.real > 0      # swapped orientation
+    calls = []
+    propagate = lax._propagate
+
+    def recording(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(lax, "_propagate", recording)
+    ws = lax._JostWorkspace(f)
+    for lam in lams:
+        ws.reduced(lam, "left")
+        ws.reduced(lam, "right")
+    assert sorted(forward for _, _, forward in calls) == [False] * 3 + [True] * 3
+    for transfers, w0, forward in calls:
+        got = propagate(transfers, w0, forward)
+        stacked = np.moveaxis(np.reshape(transfers, (2, 2, n - 1)), -1, 0)
+        want = propagate_sequential(stacked, w0, forward).T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_jost_edge_normalization(grid, soliton):
