@@ -53,7 +53,12 @@ OUT_DIR_ENV = "MTMLAB_OUT_DIR"
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written beside every subcommand's outputs."""
+    """Reproducibility record written beside every subcommand's outputs.
+
+    `timings` holds per-stage wall times in seconds where the subcommand
+    measures them: `mtmlab evolve` records `evolve_s` (the evolve call less
+    its snapshot writes) and `write_s` (the snapshot and series writes).
+    """
 
     subcommand: str
     parameters: dict
@@ -61,6 +66,7 @@ class RunManifest:
     wall_time_s: float
     inputs: dict = field(default_factory=dict)    # path -> sha256
     outputs: dict = field(default_factory=dict)   # path -> sha256
+    timings: dict = field(default_factory=dict)   # stage -> seconds
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -79,7 +85,8 @@ def file_digest(path: str) -> str:
 
 
 def _write_manifest(path: str, subcommand: str, params: dict, t0: float,
-                    inputs: list[str], outputs: list[str]) -> None:
+                    inputs: list[str], outputs: list[str],
+                    timings: dict | None = None) -> None:
     man = RunManifest(
         subcommand=subcommand,
         parameters={k: v for k, v in sorted(params.items())},
@@ -87,6 +94,7 @@ def _write_manifest(path: str, subcommand: str, params: dict, t0: float,
         wall_time_s=time.perf_counter() - t0,
         inputs={p: file_digest(p) for p in inputs},
         outputs={p: file_digest(p) for p in outputs},
+        timings=timings or {},
     )
     _atomic_write_text(path, man.to_json())
 
@@ -262,20 +270,28 @@ def _cmd_evolve(args) -> int:
     cfg = EvolutionConfig(dt=dt, t_end=t_end, output_stride=stride)
     series: list[tuple[float, float]] = []
     outputs: list[str] = []
+    write_s = 0.0
 
     def observer(t: float, f) -> None:
+        nonlocal write_s
         path = f"{prefix}{len(series):04d}.csv"
+        t_write = time.perf_counter()
         write_field_csv(f, path)
+        write_s += time.perf_counter() - t_write
         outputs.append(path)
         series.append((t, charge(f)))
 
+    t_evolve = time.perf_counter()
     evolve(f0, cfg, observer=observer)
+    evolve_s = time.perf_counter() - t_evolve - write_s
+    t_series = time.perf_counter()
     series_path = f"{prefix}series.csv"
     lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]
     _atomic_write_text(series_path, "\n".join(lines) + "\n")
     outputs.append(series_path)
+    write_s += time.perf_counter() - t_series
     _write_manifest(f"{prefix}manifest.json", "evolve", p.resolved, t0,
-                    [field_path], outputs)
+                    [field_path], outputs, {"evolve_s": evolve_s, "write_s": write_s})
     drift = abs(series[-1][1] - series[0][1]) / max(series[0][1], 1e-300)
     print(f"evolve: {len(series) - 1} snapshots, relative charge drift {drift:.3e}")
     return 0

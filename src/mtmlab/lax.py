@@ -186,7 +186,9 @@ class _JostWorkspace:
 
     Each cell is crossed by one RK4 step, so the field and the gauge
     exponentials are needed at the cell start, midpoint and end (node
-    arrays of shape (3, ncell)).  `last` memoizes the latest JostPair.
+    arrays of shape (3, ncell)).  `last` memoizes the latest JostPair, and
+    `_brackets` the lambda brackets of the latest lambda, which both sides
+    share.
     """
 
     def __init__(self, f: SpinorField):
@@ -195,6 +197,7 @@ class _JostWorkspace:
         taus = (0.0, 0.5, 1.0)
         self.u_nodes = cs.values(f.u, taus).T.copy()
         self.v_nodes = cs.values(f.v, taus).T.copy()
+        self._brackets: tuple[complex, np.ndarray, np.ndarray] | None = None
         acc = gauge_transform(f)                           # (n,) at grid nodes
         acc_nodes = (acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)).T
         # left-edge gauge m1 = e^{iA} and right-edge gauge m2 = e^{i(A_last - A)}
@@ -218,8 +221,9 @@ class _JostWorkspace:
         k1 = SpectralParameter(lam).k1
         forward = side == "left"
         e = self.e_left if forward else self.e_right
-        p = 0.5j * (np.conj(self.u_nodes) / lam - np.conj(self.v_nodes) * lam) * e
-        q = 0.5j * (self.u_nodes / lam - self.v_nodes * lam) / e
+        bp, bq = self._lambda_brackets(lam)
+        p = bp * e
+        q = bq / e
         if forward != (k1.real > 0):
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
             d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
@@ -232,6 +236,14 @@ class _JostWorkspace:
         else:
             transfers = _rk4_transfer(*nodes[::-1], -self.grid.dx)
         return _propagate(transfers, init, forward)
+
+    def _lambda_brackets(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(i/2)(conj(u)/lam - conj(v) lam) and (i/2)(u/lam - v lam) at the nodes."""
+        if self._brackets is None or self._brackets[0] != lam:
+            bp = 0.5j * (np.conj(self.u_nodes) / lam - np.conj(self.v_nodes) * lam)
+            bq = 0.5j * (self.u_nodes / lam - self.v_nodes * lam)
+            self._brackets = (lam, bp, bq)
+        return self._brackets[1:]
 
 
 def solve_jost(f: SpinorField, lam: complex,

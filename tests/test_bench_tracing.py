@@ -6,8 +6,8 @@ import pathlib
 
 import numpy as np
 
-from mtmlab import lax
-from mtmlab.fields import Grid
+from mtmlab import cli, lax
+from mtmlab.fields import Grid, write_field_csv
 from mtmlab.solitons import stationary_soliton
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -48,3 +48,31 @@ def test_lax_spans_see_the_eigenvalue_search():
     assert totals["lax.find_eigenvalue"]["calls"] == 1
     assert totals["lax.solve_jost"]["calls"] >= 2
     assert totals["lax.evans_function"]["calls"] >= 2
+
+
+def test_evolve_spans_see_every_snapshot(tmp_path):
+    """`mtmlab evolve` reads once, evolves once and writes each snapshot through the patched names.
+
+    A writer or evolver reached under another name would leave the
+    `cli_snapshots` spans short, and the traced benchmark would misplace the
+    time of the snapshot loop.
+    """
+    tracing = _load_tracing()
+    grid = Grid.symmetric(30.0, 64)
+    src = tmp_path / "f.csv"
+    write_field_csv(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid), str(src))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["evolve", "--field", str(src), "--dt", repr(grid.dx),
+                         "--t-end", repr(10 * grid.dx), "--stride", "3",
+                         "--out-prefix", str(tmp_path / "snap_")])
+    finally:
+        restore()
+    assert code == 0
+    snapshots = sorted(tmp_path.glob("snap_[0-9][0-9][0-9][0-9].csv"))
+    assert len(snapshots) == 5      # t = 0 and after steps 3, 6, 9 and 10
+    totals = tracer.totals()
+    assert totals["fields.write_csv"]["calls"] == len(snapshots)
+    assert totals["evolution.evolve"]["calls"] == 1
+    assert totals["fields.read_csv"]["calls"] == 1

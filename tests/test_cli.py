@@ -25,6 +25,7 @@ def test_soliton_subcommand(tmp_path):
     assert l2_norm_sq(f) == pytest.approx(2 * np.pi, abs=1e-8)
     man = RunManifest.from_json((tmp_path / "s.csv.manifest.json").read_text())
     assert man.subcommand == "soliton"
+    assert man.timings == {}
     assert man.outputs[str(out)] == file_digest(str(out))
 
 
@@ -104,6 +105,8 @@ def test_evolve_subcommand(tmp_path):
     man = RunManifest.from_json((tmp_path / "run_manifest.json").read_text())
     for path, digest in man.outputs.items():
         assert file_digest(path) == digest
+    assert set(man.timings) == {"evolve_s", "write_s"}
+    assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
 
 def test_evolve_wrong_dt_is_domain_error(tmp_path):

@@ -5,11 +5,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mtmlab.errors import MtmError, ParameterError
-from mtmlab.evolution import EvolutionConfig, _local_update, charge, evolve, step
+from mtmlab.evolution import (
+    EvolutionConfig,
+    _local_update,
+    _scratch,
+    charge,
+    evolve,
+    step,
+)
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance
 from mtmlab.solitons import stationary_soliton
+from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
-from oracles import bumped_soliton, perturbations, sup_norm
+from oracles import allocating_trajectory, bumped_soliton, perturbations, sup_norm
 
 
 GRID = Grid.symmetric()
@@ -181,13 +189,51 @@ def test_local_update_unitary_and_reversible(u, v, tau):
     # kept to rounding and the update with -tau undoes the update with tau.
     # The phase tau |v|^2 is rounded relative to its size, so the reversal
     # error grows with it: measured <= 2 eps (1 + |tau| rho), 2.5e-14 at 40.
+    # The update works in place, so it runs on copies and u, v stay the
+    # untouched reference.  sqrt(rho) is taken as a hypot, because rho
+    # underflows to 0 below |u|, |v| ~ 1e-162 while the rounding does not.
     rho = np.abs(u) ** 2 + np.abs(v) ** 2
-    u1, v1 = _local_update(u, v, tau)
+    u1, v1 = u.copy(), v.copy()
+    _local_update(u1, v1, tau, _scratch(len(u)))
     assert np.all(np.abs(np.abs(u1) ** 2 + np.abs(v1) ** 2 - rho) <= 1e-14 * rho)
-    u2, v2 = _local_update(u1, v1, -tau)
-    tol = 8 * np.finfo(float).eps * (1 + abs(tau) * rho) * np.sqrt(rho)
+    u2, v2 = u1.copy(), v1.copy()
+    _local_update(u2, v2, -tau, _scratch(len(u)))
+    tol = 8 * np.finfo(float).eps * (1 + abs(tau) * rho) * np.hypot(np.abs(u), np.abs(v))
     assert np.all(np.abs(u2 - u) <= tol)
     assert np.all(np.abs(v2 - v) <= tol)
+
+
+_TRAJECTORY_GRID = Grid.symmetric(30.0, 512)
+_TRAJECTORY_STEPS = 111
+
+
+def _trajectory_field(gamma, shape):
+    if shape == "zero":
+        return SpinorField.zero(_TRAJECTORY_GRID)
+    return make_perturbed_initial(ExperimentConfig(
+        gamma0=gamma, epsilon=0.05, perturbation_shape=shape, grid=_TRAJECTORY_GRID))
+
+
+@pytest.mark.parametrize("stride", (1, 37))
+@pytest.mark.parametrize("dt_sign", (1, -1))
+@pytest.mark.parametrize("gamma,shape", [
+    *((g, s) for g in (np.pi / 8, np.pi / 2, 3 * np.pi / 4)
+      for s in ("gaussian_bump", "random_fourier")),
+    (np.pi / 2, "zero"),
+])
+def test_evolve_is_bit_identical_to_the_allocating_segment(gamma, shape, dt_sign, stride):
+    # the in-place segment runs the oracle's ufuncs in the oracle's order, so
+    # every snapshot matches to the bit, signed zeros of the zero field included
+    f0 = _trajectory_field(gamma, shape)
+    dt = dt_sign * _TRAJECTORY_GRID.dx
+    snaps = []
+    evolve(f0, EvolutionConfig(dt=dt, t_end=_TRAJECTORY_STEPS * _TRAJECTORY_GRID.dx,
+                               output_stride=stride),
+           observer=lambda t, f: snaps.append((f.u, f.v)))
+    want = allocating_trajectory(f0, dt, _TRAJECTORY_STEPS, stride)
+    assert len(snaps) == len(want)
+    for (u, v), (wu, wv) in zip(snaps, want):
+        assert u.tobytes() == wu.tobytes() and v.tobytes() == wv.tobytes()
 
 
 def test_config_validation():

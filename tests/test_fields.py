@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtmlab.errors import FieldValidationError, GridMismatchError
 from mtmlab.fields import (
+    FIELD_CSV_HEADER,
+    LAX_CSV_HEADER,
     CellSampler,
     Grid,
     SpinorField,
@@ -17,7 +22,7 @@ from mtmlab.fields import (
 from mtmlab.lax import null_vectors
 from mtmlab.solitons import soliton_eigenvector, stationary_soliton
 
-from oracles import EinsumCellSampler, soliton_charge_quadrature
+from oracles import EinsumCellSampler, format_rows_per_row, soliton_charge_quadrature
 
 
 def test_grid_geometry(grid):
@@ -165,6 +170,31 @@ def test_lax_csv_roundtrip(tmp_path, grid):
     v2 = read_lax_csv(str(path))
     assert np.array_equal(v2.u, vec.u)
     assert np.array_equal(v2.v, vec.v)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: signed zeros, the smallest subnormals, the largest finite and the smallest normal
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, -0.0]
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from((8, 777, 4096)), x_min=st.floats(-1e6, 1e6),
+       width=st.floats(1e-3, 1e6), data=st.data())
+def test_csv_writers_match_the_per_row_formatter(tmp_path_factory, n, x_min, width, data):
+    """Both writers give the bytes of one %.17g per value, row by row."""
+    vals = data.draw(arrays(np.float64, (n, 4), elements=_finite))
+    vals.ravel()[:len(_EDGE_VALUES)] = _EDGE_VALUES
+    grid = Grid(x_min, x_min + width, n)
+    # each row's (re u, im u, re v, im v) read as two complex numbers, so that
+    # no arithmetic touches the signs of zeros
+    uv = vals.view(np.complex128)
+    f = SpinorField(grid, uv[:, 0], uv[:, 1])
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    for write, header in ((write_field_csv, FIELD_CSV_HEADER), (write_lax_csv, LAX_CSV_HEADER)):
+        write(f, str(path))
+        want = format_rows_per_row(grid.x, f.u, f.v, header)
+        assert path.read_bytes() == want.encode()
 
 
 def test_csv_header_check(tmp_path, grid):
