@@ -56,8 +56,11 @@ class RunManifest:
     """Reproducibility record written beside every subcommand's outputs.
 
     `timings` holds per-stage wall times in seconds where the subcommand
-    measures them: `mtmlab evolve` records `evolve_s` (the evolve call less
-    its snapshot writes) and `write_s` (the snapshot and series writes).
+    measures them: `mtmlab eigen` records `read_s` (the field read),
+    `eigen_s` (the eigenvalue search) and `write_s` (the result and
+    eigenvector writes); `mtmlab evolve` records `evolve_s` (the evolve
+    call less its snapshot writes) and `write_s` (the snapshot and series
+    writes).
     """
 
     subcommand: str
@@ -70,10 +73,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
 
 
 def file_digest(path: str) -> str:
@@ -210,8 +209,11 @@ def _cmd_eigen(args) -> int:
     out_json = _resolve_out(p.value("out_json", str))
     out_vec = _resolve_out(p.value("out_eigenvector", str))
 
+    t_read = time.perf_counter()
     f = read_field_csv(field_path)
+    t_eigen = time.perf_counter()
     res = find_eigenvalue(f, guess)
+    t_write = time.perf_counter()
     payload = {
         "lambda_re": res.lam.real,
         "lambda_im": res.lam.imag,
@@ -220,8 +222,10 @@ def _cmd_eigen(args) -> int:
     }
     _atomic_write_text(out_json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     write_lax_csv(res.eigenvector, out_vec)
+    timings = {"read_s": t_eigen - t_read, "eigen_s": t_write - t_eigen,
+               "write_s": time.perf_counter() - t_write}
     _write_manifest(out_json + ".manifest.json", "eigen", p.resolved, t0,
-                    [field_path], [out_json, out_vec])
+                    [field_path], [out_json, out_vec], timings)
     print(f"eigen: lambda = {res.lam.real:.12g} {res.lam.imag:+.12g}i "
           f"(|E| = {res.evans_residual:.3g}, {res.iterations} iterations)")
     return 0

@@ -10,8 +10,13 @@ arrays, and the solution is carried through the transfers by a tree scan:
 pairwise products up a balanced tree, then the vector down it, about ncell
 2x2 products and ncell matrix-vector products per side.  An eigenvalue
 exists exactly when the two one-sided (Jost) solutions are collinear; the
-Evans function measures that and a complex secant iteration finds its
-roots.
+Evans function measures that at the matching point j0 and a complex secant
+iteration finds its roots.  The Evans function scans each side over its
+own half-line only, from its edge to j0, and reads the vector at j0 off
+one root-to-leaf path of that tree; the converged lambda's eigenvector is
+carried down the same half-line trees.  `solve_jost` keeps the whole-line
+two-sided scan that the Backlund up map and the time boundary-value
+problem need.
 """
 
 from __future__ import annotations
@@ -148,36 +153,74 @@ def _apply2(m, w):
     return (m[0] * w[0] + m[1] * w[1], m[2] * w[0] + m[3] * w[1])
 
 
+def _up_sweep(transfers) -> list[tuple]:
+    """The up-sweep of the tree scan over transfers given in scan order.
+
+    Level k holds the products of the complete blocks of 2^k consecutive
+    transfers, aligned at the first one, later times earlier; a trailing
+    incomplete block is left out.  The levels stop at one block.
+    """
+    levels = [tuple(transfers)]
+    while len(levels[-1][0]) > 1:
+        lv = levels[-1]
+        even = len(lv[0]) & ~1
+        levels.append(_mul2([e[1:even:2] for e in lv], [e[0:even:2] for e in lv]))
+    return levels
+
+
+def _down_sweep(levels, w0) -> np.ndarray:
+    """Carry w0 down the tree: the vector at every block start, (2, ncell+1).
+
+    Splitting level k, the start of each block's second half is the block's
+    first half applied to the block's start.  A start exists at every
+    multiple of 2^k up to ncell, so every block applied is complete.
+    """
+    ncell = len(levels[0][0])
+    w = np.array(w0, dtype=np.complex128)[:, None]
+    for k in reversed(range(len(levels))):
+        count = (ncell >> k) + 1
+        starts = np.empty((2, count), dtype=np.complex128)
+        starts[:, 0::2] = w
+        starts[:, 1::2] = _apply2([e[0::2] for e in levels[k]], w[:, :count // 2])
+        w = starts
+    return w
+
+
+def _scan_end(levels, w0) -> np.ndarray:
+    """The down-sweep's last vector alone, (2, 1): one root-to-leaf path.
+
+    It applies, from the top, the block that ends at ncell on each level
+    where ncell has a set bit: one 2x2 matrix-vector product per set bit,
+    on length-1 slices, so it rounds exactly as the down-sweep does.
+    """
+    ncell = len(levels[0][0])
+    w = np.array(w0, dtype=np.complex128)[:, None]
+    for k in reversed(range(len(levels))):
+        b = ncell >> k
+        if b & 1:
+            w = np.array(_apply2([e[b - 1:b] for e in levels[k]], w))
+    return w
+
+
+def _require_finite(w: np.ndarray) -> np.ndarray:
+    """w itself; IntegrationError if any entry is non-finite."""
+    if not np.all(np.isfinite(w.view(np.float64))):
+        raise IntegrationError("Jost integration produced non-finite values")
+    return w
+
+
 def _propagate(transfers, w0, forward: bool) -> np.ndarray:
     """Carry w0 through the per-cell transfers; returns (2, ncell+1).
 
     Forward, w_{j+1} = T_j w_j from w_0 = w0; backward, w_j = T_j w_{j+1}
-    from w_ncell = w0.  A work-efficient tree scan: the transfers, padded
-    with identities to the power of two above ncell (so the far edge starts
-    a block), are multiplied pairwise, later times earlier, one level per
-    halving; the down-sweep then carries the vector from the start of each
-    block to the start of its second half.  That is about ncell 2x2
+    from w_ncell = w0.  A work-efficient tree scan: the transfers, in the
+    order the vector meets them, are multiplied pairwise, one level per
+    halving, and the down-sweep then carries the vector from the start of
+    each block to the start of its second half.  That is about ncell 2x2
     products and ncell matrix-vector products.
     """
-    ncell = len(transfers[0])
-    size = 1 << ncell.bit_length()
-    t = np.zeros((4, size), dtype=np.complex128)
-    t[0, ncell:] = t[3, ncell:] = 1.0
-    t[:, :ncell] = transfers if forward else [e[::-1] for e in transfers]
-    levels = [tuple(t)]
-    while len(levels[-1][0]) > 2:
-        lv = levels[-1]
-        levels.append(_mul2([e[1::2] for e in lv], [e[0::2] for e in lv]))
-    # w[:, i] is the vector at the start of block i of the level being split
-    w = np.array(w0, dtype=np.complex128)[:, None]
-    for lv in reversed(levels):
-        starts = np.empty((2, 2 * w.shape[1]), dtype=np.complex128)
-        starts[:, 0::2] = w
-        starts[:, 1::2] = _apply2([e[0::2] for e in lv], w)
-        w = starts
-    out = w[:, :ncell + 1]
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise IntegrationError("Jost integration produced non-finite values")
+    scan = transfers if forward else [e[::-1] for e in transfers]
+    out = _require_finite(_down_sweep(_up_sweep(scan), w0))
     return out if forward else out[:, ::-1]
 
 
@@ -186,18 +229,21 @@ class _JostWorkspace:
 
     Each cell is crossed by one RK4 step, so the field and the gauge
     exponentials are needed at the cell start, midpoint and end (node
-    arrays of shape (3, ncell)).  `last` memoizes the latest JostPair, and
-    `_brackets` the lambda brackets of the latest lambda, which both sides
-    share.
+    arrays of shape (3, ncell)).  j0 is the matching point, the grid point
+    nearest x = 0.  `_brackets` memoizes the lambda brackets of the latest
+    lambda, which both sides share, and `_halves` the half-line tree levels
+    of the latest lambda the Evans function was evaluated at.
     """
 
     def __init__(self, f: SpinorField):
         self.grid = f.grid
+        self.j0 = int(np.argmin(np.abs(f.grid.x)))
         cs = CellSampler(f.grid)
         taus = (0.0, 0.5, 1.0)
         self.u_nodes = cs.values(f.u, taus).T.copy()
         self.v_nodes = cs.values(f.v, taus).T.copy()
         self._brackets: tuple[complex, np.ndarray, np.ndarray] | None = None
+        self._halves: tuple | None = None
         acc = gauge_transform(f)                           # (n,) at grid nodes
         acc_nodes = (acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)).T
         # left-edge gauge m1 = e^{iA} and right-edge gauge m2 = e^{i(A_last - A)}
@@ -206,10 +252,14 @@ class _JostWorkspace:
         self.m2 = np.exp(1j * (acc[-1] - acc))
         self.e_left = np.exp(-2j * acc_nodes)
         self.e_right = np.exp(2j * (acc[-1] - acc_nodes))
-        self.last: JostPair | None = None
 
     def reduced(self, lam: complex, side: str) -> np.ndarray:
-        """Reduced Jost trajectory (2, n) for the requested side.
+        """Reduced Jost trajectory (2, n) for the requested side."""
+        transfers, init = self._transfers(lam, side, slice(None))
+        return _propagate(transfers, init, side == "left")
+
+    def _transfers(self, lam: complex, side: str, cells: slice):
+        """The side's RK4 transfers over `cells` in cell order, and its init.
 
         side='left': factor exp(-x k1) off the solution recessive at -inf,
         gauge accumulated from the left edge, init (0, 1).
@@ -217,13 +267,15 @@ class _JostWorkspace:
         Orientation with Re k1 > 0 swaps the factored envelopes.  The gauge
         frame's off-diagonal entries are p = (i/2)(conj(u)/lam - conj(v) lam) e
         and q = (i/2)(u/lam - v lam)/e, with e the chosen edge's node factor.
+        Every transfer depends on its own cell alone, so the transfers of
+        a slice equal those of the whole line there.
         """
         k1 = SpectralParameter(lam).k1
         forward = side == "left"
-        e = self.e_left if forward else self.e_right
+        e = (self.e_left if forward else self.e_right)[:, cells]
         bp, bq = self._lambda_brackets(lam)
-        p = bp * e
-        q = bq / e
+        p = bp[:, cells] * e
+        q = bq[:, cells] / e
         if forward != (k1.real > 0):
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
             d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
@@ -232,10 +284,8 @@ class _JostWorkspace:
             d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
         nodes = [(d0, p[j], q[j], d1) for j in range(3)]
         if forward:
-            transfers = _rk4_transfer(*nodes, self.grid.dx)
-        else:
-            transfers = _rk4_transfer(*nodes[::-1], -self.grid.dx)
-        return _propagate(transfers, init, forward)
+            return _rk4_transfer(*nodes, self.grid.dx), init
+        return _rk4_transfer(*nodes[::-1], -self.grid.dx), init
 
     def _lambda_brackets(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
         """(i/2)(conj(u)/lam - conj(v) lam) and (i/2)(u/lam - v lam) at the nodes."""
@@ -245,47 +295,100 @@ class _JostWorkspace:
             self._brackets = (lam, bp, bq)
         return self._brackets[1:]
 
+    def _half_levels(self, lam: complex):
+        """Up-sweep levels and init of each side's scan toward j0.
 
-def solve_jost(f: SpinorField, lam: complex,
-               _workspace: _JostWorkspace | None = None) -> JostPair:
-    """Integrate the spatial problem from each edge with free asymptotics.
+        The left scan runs forward over cells [0, j0), the right one
+        backward over [j0, ncell); both end at j0.  Memoized for the latest
+        lambda.
+        """
+        if self._halves is None or self._halves[0] != lam:
+            tl, il = self._transfers(lam, "left", slice(0, self.j0))
+            tr, ir = self._transfers(lam, "right", slice(self.j0, None))
+            self._halves = (lam, (_up_sweep(tl), il),
+                            (_up_sweep([e[::-1] for e in tr]), ir))
+        return self._halves[1:]
 
-    Returns both one-sided solutions in the original (ungauged) variables:
-    left(x_min) = (0, exp(-k1 x_min)) and right(x_last) = (exp(k1 x_last), 0)
-    exactly, where x_last is the last grid sample.
-    """
+    def original(self, lam: complex, side: str, w: np.ndarray, at: slice):
+        """The side's solution (phi1, phi2) on grid slice `at` from reduced w there.
+
+        The envelope, exp(-k1 x) on the left and exp(+k1 x) on the right
+        (swapped when Re k1 > 0), and the edge's gauge are multiplied back in.
+        """
+        k1 = SpectralParameter(lam).k1
+        sign_left = +1 if k1.real > 0 else -1     # left envelope exp(sign * k1 * x)
+        x = self.grid.x[at]
+        if side == "left":
+            env, m = np.exp(sign_left * k1 * x), self.m1[at]
+            return m * env * w[0], np.conj(m) * env * w[1]
+        env, m = np.exp(-sign_left * k1 * x), self.m2[at]
+        return np.conj(m) * env * w[0], m * env * w[1]
+
+    def matching_values(self, lam: complex):
+        """Both solutions at j0 alone, ((phi1, phi2) left, (phi1, phi2) right).
+
+        Each comes from its half-line's root-to-leaf path; the products stay
+        length-1 arrays until the scalars are taken, so they round as the
+        whole-line solutions do at j0.
+        """
+        at = slice(self.j0, self.j0 + 1)
+        (left, il), (right, ir) = self._half_levels(lam)
+        wl = _require_finite(_scan_end(left, il))
+        wr = _require_finite(_scan_end(right, ir))
+        return ([c[0] for c in self.original(lam, "left", wl, at)],
+                [c[0] for c in self.original(lam, "right", wr, at)])
+
+    def halves(self, lam: complex):
+        """The left solution on [0, j0] and the right one on [j0, n), as (phi1, phi2).
+
+        Each side is carried down its own half-line tree only.
+        """
+        (left, il), (right, ir) = self._half_levels(lam)
+        wl = _require_finite(_down_sweep(left, il))
+        wr = _require_finite(_down_sweep(right, ir))[:, ::-1]
+        return (self.original(lam, "left", wl, slice(0, self.j0 + 1)),
+                self.original(lam, "right", wr, slice(self.j0, None)))
+
+
+def _require_split(lam) -> complex:
+    """lam as a complex number; DegenerateExponentError if lam^2 is (numerically) real."""
     lam = require_lambda(lam)
     l2 = lam ** 2
     if abs(l2.imag) <= 1e-12 * abs(l2):
         raise DegenerateExponentError(
             "lambda^2 is (numerically) real: spatial exponents degenerate")
-    ws = _workspace if _workspace is not None else _JostWorkspace(f)
-    if ws.last is not None and ws.last.lam == lam:
-        return ws.last
+    return lam
+
+
+def solve_jost(f: SpinorField, lam: complex) -> JostPair:
+    """Integrate the spatial problem from each edge with free asymptotics.
+
+    Returns both one-sided solutions in the original (ungauged) variables
+    on the whole line: left(x_min) = (0, exp(-k1 x_min)) and
+    right(x_last) = (exp(k1 x_last), 0) exactly, where x_last is the last
+    grid sample.
+    """
+    lam = _require_split(lam)
+    ws = _JostWorkspace(f)
     grid = ws.grid
-    k1 = SpectralParameter(lam).k1
-    swapped = k1.real > 0
-
-    wl = ws.reduced(lam, "left")
-    wr = ws.reduced(lam, "right")
-
-    m1, m2 = ws.m1, ws.m2
-    sign_left = +1 if swapped else -1     # left envelope exp(sign * k1 * x)
-    env_l = np.exp(sign_left * k1 * grid.x)
-    env_r = np.exp(-sign_left * k1 * grid.x)
-    left = SpinorField(grid, m1 * env_l * wl[0], np.conj(m1) * env_l * wl[1])
-    right = SpinorField(grid, np.conj(m2) * env_r * wr[0], m2 * env_r * wr[1])
-    ws.last = JostPair(lam, left, right)
-    return ws.last
+    everywhere = slice(None)
+    left = ws.original(lam, "left", ws.reduced(lam, "left"), everywhere)
+    right = ws.original(lam, "right", ws.reduced(lam, "right"), everywhere)
+    return JostPair(lam, SpinorField(grid, *left), SpinorField(grid, *right))
 
 
 def evans_function(f: SpinorField, lam: complex,
                    _workspace: _JostWorkspace | None = None) -> complex:
-    """Wronskian of the unit-rescaled Jost solutions at x ~ 0; zero iff eigenvalue."""
-    pair = solve_jost(f, lam, _workspace)
-    j0 = int(np.argmin(np.abs(f.grid.x)))
-    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
-    r1, r2 = pair.right.u[j0], pair.right.v[j0]
+    """Wronskian of the unit-rescaled Jost solutions at x ~ 0; zero iff eigenvalue.
+
+    Each solution is scanned over its own half-line only, from its edge to
+    the matching point j0, and only its value at j0 is formed.  So it
+    raises IntegrationError when the scan toward j0 goes non-finite, but
+    overflow in a solution beyond j0 is never computed and does not fail.
+    """
+    lam = _require_split(lam)
+    ws = _workspace if _workspace is not None else _JostWorkspace(f)
+    (l1, l2_), (r1, r2) = ws.matching_values(lam)
     nl = np.sqrt(abs(l1) ** 2 + abs(l2_) ** 2)
     nr = np.sqrt(abs(r1) ** 2 + abs(r2) ** 2)
     if nl == 0 or nr == 0:
@@ -303,18 +406,19 @@ class EigenResult:
     iterations: int
 
 
-def _splice_eigenvector(pair: JostPair) -> SpinorField:
-    """Combine left (x <= 0) and rescaled right (x > 0) into one decaying vector."""
-    grid = pair.left.grid
-    j0 = int(np.argmin(np.abs(grid.x)))
-    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
-    r1, r2 = pair.right.u[j0], pair.right.v[j0]
+def _splice_eigenvector(grid: Grid, left, right) -> SpinorField:
+    """Combine left (x <= 0) and rescaled right (x > 0) into one decaying vector.
+
+    left holds (phi1, phi2) on [0, j0], right on [j0, n).
+    """
+    l1, l2_ = left[0][-1], left[1][-1]
+    r1, r2 = right[0][0], right[1][0]
     denom = abs(r1) ** 2 + abs(r2) ** 2
     if denom == 0:
         raise DegenerateVectorError("right Jost solution vanished at the matching point")
     c = (l1 * np.conj(r1) + l2_ * np.conj(r2)) / denom
-    phi1 = np.concatenate([pair.left.u[: j0 + 1], c * pair.right.u[j0 + 1:]])
-    phi2 = np.concatenate([pair.left.v[: j0 + 1], c * pair.right.v[j0 + 1:]])
+    phi1 = np.concatenate([left[0], c * right[0][1:]])
+    phi2 = np.concatenate([left[1], c * right[1][1:]])
     # normalize and fix the phase at the modulus peak
     vec = SpinorField(grid, phi1, phi2)
     nrm = l2_norm(vec)
@@ -332,7 +436,11 @@ def find_eigenvalue(f: SpinorField, lambda_guess: complex) -> EigenResult:
 
     Converges quadratically-ish near a simple root; raises NoEigenvalueError
     when the iteration stalls, leaves the guess neighborhood, or fails to
-    reach |E| < EVANS_TOL within MAX_SECANT_ITERATIONS.
+    reach |E| < EVANS_TOL within MAX_SECANT_ITERATIONS, and IntegrationError
+    when a half-line scan goes non-finite.  No Jost solution is computed
+    beyond j0, so overflow there does not fail the search.  The eigenvector
+    is carried down the half-line trees of the converged lambda, the last
+    one evaluated.
     """
     lambda_guess = require_lambda(lambda_guess)
     ws = _JostWorkspace(f)
@@ -343,8 +451,8 @@ def find_eigenvalue(f: SpinorField, lambda_guess: complex) -> EigenResult:
     best = (abs(e1), lam1)
     for it in range(1, MAX_SECANT_ITERATIONS + 1):
         if abs(e1) < EVANS_TOL:
-            pair = solve_jost(f, lam1, ws)
-            return EigenResult(lam1, _splice_eigenvector(pair), abs(e1), it)
+            return EigenResult(lam1, _splice_eigenvector(ws.grid, *ws.halves(lam1)),
+                               abs(e1), it)
         de = e1 - e0
         if abs(de) < 1e-300:
             raise NoEigenvalueError(

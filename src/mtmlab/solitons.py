@@ -86,10 +86,6 @@ class SpectralParameter:
         l2 = self.lam ** 2
         return 0.25 * (l2 + 1 / l2)
 
-    @classmethod
-    def from_polar(cls, gamma: float, delta: float = 1.0) -> "SpectralParameter":
-        return cls(delta * np.exp(0.5j * gamma))
-
 
 # ---------------------------------------------------------------------------
 # space-time evaluators

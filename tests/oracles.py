@@ -7,7 +7,9 @@ a Crank-Nicolson propagator for the temporal linear system, the per-cell
 cubic sampler (a weight tensor for every cell, product-form Lagrange
 weights) that the shared cell stencil replaced, the cell-by-cell Jost
 kernel (stacked np.matmul RK4 transfers, sequential propagation) that the
-tree scan replaced, the derivative-free Nelder-Mead reconstruction fit
+tree scan replaced, the whole-line Evans function and eigenvector splice
+(both Jost solutions on the whole line from `solve_jost`) that the
+half-line scans replaced, the derivative-free Nelder-Mead reconstruction fit
 that the dogleg fit replaced, the allocating local update and Strang segment
 (np.roll transport) that the in-place segment replaced, and the per-row CSV
 formatter that the one-pass writer replaced.
@@ -24,8 +26,8 @@ from scipy.optimize import minimize
 
 from mtmlab.backlund import up_map
 from mtmlab.errors import DegenerateVectorError, IntegrationError, MtmError
-from mtmlab.fields import Grid, SpinorField, combined_l2_distance, d_dx
-from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L
+from mtmlab.fields import Grid, SpinorField, combined_l2_distance, d_dx, l2_norm
+from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L, solve_jost
 from mtmlab.solitons import (
     SpectralParameter,
     sample_spinor,
@@ -272,6 +274,49 @@ def sequential_reduced(ws, lam: complex, side: str) -> np.ndarray:
     else:
         transfers = rk4_transfer_matmul(m[:, 2], m[:, 1], m[:, 0], -ws.grid.dx)
     return propagate_sequential(transfers, init, forward).T
+
+
+def full_line_evans(f: SpinorField, lam: complex, _workspace=None) -> complex:
+    """The Evans function read off both whole-line Jost solutions at j0.
+
+    Same signature as `lax.evans_function`, so it can be patched in for it;
+    the workspace is ignored.
+    """
+    pair = solve_jost(f, lam)
+    j0 = int(np.argmin(np.abs(f.grid.x)))
+    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
+    r1, r2 = pair.right.u[j0], pair.right.v[j0]
+    nl = np.sqrt(abs(l1) ** 2 + abs(l2_) ** 2)
+    nr = np.sqrt(abs(r1) ** 2 + abs(r2) ** 2)
+    if nl == 0 or nr == 0:
+        raise DegenerateVectorError("Jost solution vanished at the matching point")
+    return complex((l1 * r2 - l2_ * r1) / (nl * nr))
+
+
+def full_line_eigenvector(f: SpinorField, lam: complex) -> SpinorField:
+    """Left Jost solution on x <= 0 spliced to the rescaled right one, normalized.
+
+    Both solutions come from `solve_jost` on the whole line.
+    """
+    pair = solve_jost(f, lam)
+    grid = f.grid
+    j0 = int(np.argmin(np.abs(grid.x)))
+    l1, l2_ = pair.left.u[j0], pair.left.v[j0]
+    r1, r2 = pair.right.u[j0], pair.right.v[j0]
+    denom = abs(r1) ** 2 + abs(r2) ** 2
+    if denom == 0:
+        raise DegenerateVectorError("right Jost solution vanished at the matching point")
+    c = (l1 * np.conj(r1) + l2_ * np.conj(r2)) / denom
+    phi1 = np.concatenate([pair.left.u[: j0 + 1], c * pair.right.u[j0 + 1:]])
+    phi2 = np.concatenate([pair.left.v[: j0 + 1], c * pair.right.v[j0 + 1:]])
+    nrm = l2_norm(SpinorField(grid, phi1, phi2))
+    if nrm == 0:
+        raise DegenerateVectorError("eigenvector is identically zero")
+    mag = np.abs(phi1) ** 2 + np.abs(phi2) ** 2
+    jp = int(np.argmax(mag))
+    comp = phi1[jp] if abs(phi1[jp]) >= abs(phi2[jp]) else phi2[jp]
+    rot = np.conj(comp) / abs(comp)
+    return SpinorField(grid, phi1 * rot / nrm, phi2 * rot / nrm)
 
 
 def nelder_mead_fit(pq_t, jost, lam: complex, target: SpinorField, seed):

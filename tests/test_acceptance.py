@@ -23,7 +23,6 @@ from mtmlab.fields import (
 from mtmlab.lax import find_eigenvalue, project_P, s_constant, solve_time_bvp
 from mtmlab.backlund import RiccatiField, riccati_residual
 from mtmlab.solitons import (
-    SpectralParameter,
     csech,
     free_lax_vector,
     soliton_eigenvector,
@@ -39,6 +38,7 @@ from mtmlab.stability import (
 )
 
 from oracles import zero_curvature_residual
+from helpers import polar
 
 GAMMA0 = np.pi / 2
 LAM0 = np.exp(0.25j * np.pi)
@@ -68,7 +68,7 @@ def test_criterion_1_zero_to_soliton(grid):
     for gamma in GAMMAS:
         for delta in (1.0, 2.0):
             t0 = time.perf_counter()
-            p = SpectralParameter.from_polar(gamma, delta)
+            p = polar(gamma, delta)
             out = backlund_transform(SpinorField.zero(grid),
                                      free_lax_vector(p, 0.0, grid), p.lam)
             ref = soliton_field(p, 0.0, grid)
@@ -107,8 +107,8 @@ def test_criterion_3_s_constant():
 def test_criterion_4_soliton_charge(grid):
     t0 = time.perf_counter()
     worst = 0.0
-    cases = [soliton_field(SpectralParameter.from_polar(np.pi / 8, 2.0), 0.0, grid),
-             soliton_field(SpectralParameter.from_polar(np.pi / 2, 1.0), 1.3, grid),
+    cases = [soliton_field(polar(np.pi / 8, 2.0), 0.0, grid),
+             soliton_field(polar(np.pi / 2, 1.0), 1.3, grid),
              stationary_soliton(np.pi / 4, 0.9, 2.2, 0.7, grid),
              stationary_soliton(3 * np.pi / 4, -1.1, 0.3, 0.0, grid)]
     gammas = (np.pi / 8, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
@@ -231,7 +231,7 @@ def test_criterion_9_orbital_stability_end_to_end(experiment):
 
 def test_criterion_10_property_suites(grid, rng):
     # Riccati invariance on Backlund-transformed data
-    p = SpectralParameter.from_polar(GAMMA0)
+    p = polar(GAMMA0)
     phi = free_lax_vector(p, 0.0, grid)
     created = backlund_transform(SpinorField.zero(grid), phi, p.lam)
     ric = RiccatiField.from_lax_vector(phi).reciprocal_conjugate()

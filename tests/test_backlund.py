@@ -17,7 +17,6 @@ from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
 from mtmlab.lax import JostPair, assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
 from mtmlab.evolution import EvolutionConfig, charge, evolve
 from mtmlab.solitons import (
-    SpectralParameter,
     csech,
     free_lax_vector,
     soliton_eigenvector,
@@ -26,6 +25,7 @@ from mtmlab.solitons import (
 )
 
 from oracles import bumped_soliton, collinearity_defect, perturbations, spatial_residual
+from helpers import polar
 
 LAM0 = np.exp(0.25j * np.pi)
 
@@ -45,7 +45,7 @@ def perturbed(grid):
 @pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2, 3 * np.pi / 4])
 @pytest.mark.parametrize("delta", [1.0, 2.0])
 def test_zero_to_soliton(grid, gamma, delta):
-    p = SpectralParameter.from_polar(gamma, delta)
+    p = polar(gamma, delta)
     phi = free_lax_vector(p, 0.3, grid)
     out = backlund_transform(SpinorField.zero(grid), phi, p.lam)
     ref = soliton_field(p, 0.3, grid)
@@ -71,7 +71,7 @@ def test_prefactor_unit_modulus_when_cross_term_vanishes(grid):
 
 def test_backlund_charge_of_created_soliton(grid):
     for gamma in (np.pi / 4, np.pi / 2):
-        p = SpectralParameter.from_polar(gamma)
+        p = polar(gamma)
         out = backlund_transform(SpinorField.zero(grid), free_lax_vector(p, 0.0, grid), p.lam)
         assert l2_norm_sq(out) == pytest.approx(4 * gamma, abs=1e-6)
 
@@ -80,7 +80,7 @@ def test_backlund_rejects_bad_parameters(grid):
     zero_vec = SpinorField(grid, np.zeros(grid.n), np.zeros(grid.n))
     with pytest.raises(DegenerateVectorError):
         backlund_transform(SpinorField.zero(grid), zero_vec, LAM0)
-    phi = free_lax_vector(SpectralParameter.from_polar(np.pi / 2), 0.0, grid)
+    phi = free_lax_vector(polar(np.pi / 2), 0.0, grid)
     with pytest.raises(ParameterError):
         backlund_transform(SpinorField.zero(grid), phi, -1.0 + 0j)   # gamma = 2 pi
 
@@ -104,14 +104,14 @@ def test_pushforward_pointwise(grid):
 
 
 def test_pushforward_of_free_vector_is_soliton_eigenvector(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     psi = pushforward_eigenvector(free_lax_vector(p, 0.0, grid), p.gamma)
     ref = soliton_eigenvector(np.pi / 2, 0.0, grid)
     assert collinearity_defect(psi, ref) < 1e-8
 
 
 def test_pushforward_solves_transformed_system(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     phi = free_lax_vector(p, 0.0, grid)
     out = backlund_transform(SpinorField.zero(grid), phi, p.lam)
     psi = pushforward_eigenvector(phi, p.gamma)
@@ -134,14 +134,14 @@ def test_pushforward_norm_identity(grid, rng):
 # -- Riccati checks ------------------------------------------------------------
 
 def test_riccati_exact_free_solution(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     ric = RiccatiField.from_lax_vector(free_lax_vector(p, 0.0, grid))
     assert ric.invalid_count == 0
     assert riccati_residual(ric, SpinorField.zero(grid), p.lam) < 1e-6
 
 
 def test_riccati_invariance_under_backlund(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     phi = free_lax_vector(p, 0.0, grid)
     out = backlund_transform(SpinorField.zero(grid), phi, p.lam)
     ric = RiccatiField.from_lax_vector(phi).reciprocal_conjugate()

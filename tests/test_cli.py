@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from mtmlab.cli import RunManifest, file_digest, load_config, main
+from mtmlab.cli import file_digest, load_config, main
 from mtmlab.fields import Grid, SpinorField, l2_norm_sq, read_field_csv, write_field_csv
 from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS
+
+from helpers import read_manifest
 
 
 GAMMA = 1.5707963267948966
@@ -23,7 +25,7 @@ def test_soliton_subcommand(tmp_path):
     assert code == 0
     f = read_field_csv(str(out))
     assert l2_norm_sq(f) == pytest.approx(2 * np.pi, abs=1e-8)
-    man = RunManifest.from_json((tmp_path / "s.csv.manifest.json").read_text())
+    man = read_manifest(tmp_path / "s.csv.manifest.json")
     assert man.subcommand == "soliton"
     assert man.timings == {}
     assert man.outputs[str(out)] == file_digest(str(out))
@@ -55,6 +57,11 @@ def test_eigen_subcommand(tmp_path):
     assert payload["evans_residual"] < 1e-10
     assert payload["iterations"] >= 1
     assert out_vec.exists()
+    man = read_manifest(f"{out_json}.manifest.json")
+    assert man.outputs == {str(out_json): file_digest(str(out_json)),
+                           str(out_vec): file_digest(str(out_vec))}
+    assert set(man.timings) == {"read_s", "eigen_s", "write_s"}
+    assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
 
 def test_backlund_down_and_up(tmp_path):
@@ -102,7 +109,7 @@ def test_evolve_subcommand(tmp_path):
     snaps = sorted(p for p in os.listdir(tmp_path) if p.startswith("run_")
                    and p.endswith(".csv") and "series" not in p)
     assert len(snaps) == len(charges)
-    man = RunManifest.from_json((tmp_path / "run_manifest.json").read_text())
+    man = read_manifest(tmp_path / "run_manifest.json")
     for path, digest in man.outputs.items():
         assert file_digest(path) == digest
     assert set(man.timings) == {"evolve_s", "write_s"}
@@ -187,7 +194,7 @@ def test_stability_subcommand(tmp_path, capsys):
     assert lines[0] == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
     assert len(lines) == 3   # t = 0 and t = 2 plus header
     assert (out_dir / "summary.csv").exists()
-    man = RunManifest.from_json((out_dir / "manifest.json").read_text())
+    man = read_manifest(out_dir / "manifest.json")
     assert man.parameters["pipeline"] == "both"
 
 

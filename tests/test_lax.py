@@ -3,6 +3,7 @@ import pytest
 
 from mtmlab.errors import (
     DegenerateExponentError,
+    IntegrationError,
     NoEigenvalueError,
     OrthogonalityError,
     ParameterError,
@@ -37,6 +38,8 @@ from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
 from oracles import (
     collinearity_defect,
+    full_line_eigenvector,
+    full_line_evans,
     propagate_lax_in_time,
     propagate_sequential,
     sequential_reduced,
@@ -187,11 +190,11 @@ def test_jost_matches_sequential_oracle(gamma, eps, monkeypatch):
 def test_tree_scan_matches_sequential_propagation(n, monkeypatch):
     """`_propagate` agrees with `propagate_sequential` on the kernel's own transfers.
 
-    The scan pads the cells with identities to the power of two above
-    their count: n = 8 pads 7 cells to 8, n = 1000 pads 999 to 1024, and
-    n = 4097 pads 4096, an exact power of two, to 8192.  The transfers of
-    both sides (left forward, right backward) in both envelope orientations
-    are recorded and replayed through both scans, and the reduced
+    The up-sweep leaves a trailing incomplete block out of each level:
+    n = 8 and n = 1000 give 7 and 999 cells, odd on most levels, and
+    n = 4097 gives 4096, an exact power of two, whose last vector is the
+    root block applied to w0.  The transfers of both sides (left forward,
+    right backward) in both envelope orientations are recorded and replayed through both scans, and the reduced
     trajectories are compared on the whole line.  The background does not
     vanish at the edges, so the last transfer moves the vector by O(dx)
     and a wrong far-edge sample shows.
@@ -218,6 +221,95 @@ def test_tree_scan_matches_sequential_propagation(n, monkeypatch):
         stacked = np.moveaxis(np.reshape(transfers, (2, 2, n - 1)), -1, 0)
         want = propagate_sequential(stacked, w0, forward).T
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_scan_end_is_the_down_sweep_at_the_end():
+    """The root-to-leaf path gives the down-sweep's last vector bit for bit, for 0 to 70 cells."""
+    rng = np.random.default_rng(3)
+    for ncell in range(71):
+        t = [0.3 * (rng.normal(size=ncell) + 1j * rng.normal(size=ncell)) + (k in (0, 3))
+             for k in range(4)]
+        levels = lax._up_sweep(t)
+        end = lax._scan_end(levels, (0.3 - 0.1j, 1.0))
+        assert end.shape == (2, 1)
+        assert end.tobytes() == lax._down_sweep(levels, (0.3 - 0.1j, 1.0))[:, -1:].tobytes()
+
+
+def _assert_half_lines_match_full_line(f, lams):
+    """Evans values and spliced eigenvectors equal the whole-line oracles bit for bit.
+
+    lambda goes in as a Python complex, as every public entry point passes
+    it on: numpy complex scalars round k1 differently.
+    """
+    ws = lax._JostWorkspace(f)
+    for lam in map(complex, lams):
+        assert evans_function(f, lam, ws) == full_line_evans(f, lam)
+        got = lax._splice_eigenvector(f.grid, *ws.halves(lam))
+        want = full_line_eigenvector(f, lam)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2, 3 * np.pi / 4])
+def test_half_line_kernel_is_bit_identical_to_the_full_line(gamma, eps, monkeypatch):
+    """Half-line scans reproduce the whole-line Jost solutions at j0 and on each half.
+
+    The search itself matches too: the same lambda, iterations, |E| and
+    eigenvector bytes as the secant run on the whole-line Evans function.
+    """
+    f = make_perturbed_initial(ExperimentConfig(gamma0=gamma, epsilon=eps,
+                                                perturbation_seed=1))
+    lam0 = np.exp(0.5j * gamma)
+    lams = [0.8 * lam0, lam0, 1.25 * lam0, 1.1 * np.exp(0.5j * (np.pi + gamma))]
+    assert SpectralParameter(lams[-1]).k1.real > 0      # swapped orientation
+    _assert_half_lines_match_full_line(f, lams)
+    got = find_eigenvalue(f, lam0)
+    monkeypatch.setattr(lax, "evans_function", full_line_evans)
+    want = find_eigenvalue(f, lam0)
+    assert (got.lam, got.iterations, got.evans_residual) == (
+        want.lam, want.iterations, want.evans_residual)
+    vec = full_line_eigenvector(f, want.lam)
+    assert got.eigenvector.u.tobytes() == vec.u.tobytes()
+    assert got.eigenvector.v.tobytes() == vec.v.tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid.symmetric(30.0, 8), Grid.symmetric(30.0, 1000),
+                                  Grid.symmetric(30.0, 4097), Grid(0.0, 1.0, 8),
+                                  Grid(-1.0, 0.0, 8), Grid(-0.3, 5.0, 37)],
+                         ids=["n8", "n1000", "n4097", "j0_first", "j0_last", "j0_near_left"])
+def test_half_line_kernel_on_odd_grids(grid):
+    """Grid sizes at the power-of-two edges, and matching points with an empty half-line."""
+    f = SpinorField(grid, 0.5 * np.exp(0.3j * grid.x), 0.4 * np.exp(-0.2j * grid.x) + 0.2)
+    j0 = int(np.argmin(np.abs(grid.x)))
+    assert lax._JostWorkspace(f).j0 == j0
+    _assert_half_lines_match_full_line(f, [0.8 * LAM0, LAM0, 1.1 * np.exp(0.75j * np.pi)])
+
+
+@pytest.mark.parametrize("cell", [0, -1])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_finite_transfer_raises_integration_error(grid, soliton, side, cell, monkeypatch):
+    """A NaN transfer on one half-line fails the Evans value, the search and the eigenvector.
+
+    It must surface as IntegrationError: neither a NaN Evans value nor a
+    NoEigenvalueError from a secant run on garbage.  The NaN goes into the
+    first or last cell of one side's transfers (the left side steps by +dx).
+    """
+    rk4 = lax._rk4_transfer
+
+    def nan_transfer(ma, mm, mb, h):
+        t = [e.copy() for e in rk4(ma, mm, mb, h)]
+        if (h > 0) == (side == "left") and len(t[0]):
+            t[0][cell] = np.nan
+        return tuple(t)
+
+    monkeypatch.setattr(lax, "_rk4_transfer", nan_transfer)
+    with pytest.raises(IntegrationError):
+        evans_function(soliton, LAM0)
+    with pytest.raises(IntegrationError):
+        find_eigenvalue(soliton, LAM0)
+    with pytest.raises(IntegrationError):
+        lax._JostWorkspace(soliton).halves(LAM0)
 
 
 def test_jost_edge_normalization(grid, soliton):

@@ -17,6 +17,7 @@ from mtmlab.solitons import (
 from mtmlab.lax import assemble_L
 
 from oracles import mtm_residual, spatial_residual
+from helpers import polar
 
 
 def test_csech_matches_reference():
@@ -29,14 +30,14 @@ def test_csech_matches_reference():
 
 
 def test_spectral_parameter_derived_quantities():
-    p = SpectralParameter.from_polar(np.pi / 2, 2.0)
+    p = polar(np.pi / 2, 2.0)
     assert p.delta == pytest.approx(2.0)
     assert p.gamma == pytest.approx(np.pi / 2)
     assert p.nu == pytest.approx(15.0 / 17.0)
     assert abs(p.nu) < 1.0
     assert p.alpha ** 2 + p.beta ** 2 == pytest.approx(((p.delta ** 2 + p.delta ** -2) / 2) ** 2)
     # unit-circle parameter is stationary
-    q = SpectralParameter.from_polar(np.pi / 4)
+    q = polar(np.pi / 4)
     assert q.nu == pytest.approx(0.0)
     assert q.alpha == pytest.approx(np.sin(np.pi / 4))
     assert q.beta == pytest.approx(np.cos(np.pi / 4))
@@ -48,7 +49,7 @@ def test_spectral_parameter_rejects_zero():
 
 
 def test_soliton_point_values(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     f = soliton_field(p, 0.0, grid)
     j0 = int(np.argmin(np.abs(grid.x)))
     assert f.u[j0] == pytest.approx(1j * np.sqrt(2), abs=1e-13)
@@ -64,7 +65,7 @@ def test_soliton_gamma_range(grid):
 
 @pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2, 3 * np.pi / 4])
 def test_stationary_matches_general_family(grid, gamma):
-    p = SpectralParameter.from_polar(gamma)
+    p = polar(gamma)
     a = soliton_field(p, 0.0, grid)
     b = stationary_soliton(gamma, 0.0, 0.0, 0.0, grid)
     assert np.abs(a.u - b.u).max() < 1e-14
@@ -89,7 +90,7 @@ def test_shift_and_phase_parameter_roles(grid):
 @pytest.mark.parametrize("gamma", [np.pi / 8, np.pi / 2])
 @pytest.mark.parametrize("delta", [1.0, 2.0])
 def test_soliton_charge_is_4gamma(grid, gamma, delta):
-    p = SpectralParameter.from_polar(gamma, delta)
+    p = polar(gamma, delta)
     for t in (0.0, 1.7):
         f = soliton_field(p, t, grid)
         assert l2_norm_sq(f) == pytest.approx(4 * gamma, abs=1e-6)
@@ -109,7 +110,7 @@ def test_lorentz_boost_equals_general_soliton(grid):
     boosted = lorentz_boost(stationary_soliton_evaluator(np.pi / 2), 2.0)
     for t in (0.0, 0.7):
         a = sample_spinor(boosted, t, grid)
-        b = soliton_field(SpectralParameter.from_polar(np.pi / 2, 2.0), t, grid)
+        b = soliton_field(polar(np.pi / 2, 2.0), t, grid)
         assert np.abs(a.u - b.u).max() < 1e-10
         assert np.abs(a.v - b.v).max() < 1e-10
 
@@ -129,7 +130,7 @@ def test_lorentz_boost_rejects_nonpositive():
 
 
 def test_free_lax_vector(grid):
-    p = SpectralParameter.from_polar(np.pi / 2)
+    p = polar(np.pi / 2)
     vec = free_lax_vector(p, 0.0, grid)
     j0 = int(np.argmin(np.abs(grid.x)))
     assert vec.u[j0] == pytest.approx(1.0, abs=1e-14)
@@ -159,7 +160,7 @@ def test_boosted_eigenvector_solves_boosted_system(grid):
     from mtmlab.solitons import lorentz_boost_lax, soliton_eigenvector_evaluator
 
     gamma, delta = np.pi / 2, 1.3
-    p = SpectralParameter.from_polar(gamma, delta)
+    p = polar(gamma, delta)
     psi = sample_spinor(lorentz_boost_lax(soliton_eigenvector_evaluator(gamma), delta), 0.0, grid)
     background = soliton_field(p, 0.0, grid)
     assert spatial_residual(assemble_L(background, p.lam), psi) < 1e-4

@@ -14,7 +14,6 @@ from mtmlab.errors import ParameterError
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, inner_product
 from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS, JostPair, solve_time_bvp
 from mtmlab.solitons import (
-    SpectralParameter,
     soliton_evaluator,
     stationary_soliton,
     stationary_soliton_evaluator,
@@ -33,9 +32,10 @@ from mtmlab.stability import (
 )
 
 from oracles import nelder_mead_fit
+from helpers import polar
 
 GAMMA0 = np.pi / 2
-P0 = SpectralParameter.from_polar(GAMMA0)
+P0 = polar(GAMMA0)
 MAX_ROLL = int(5.0 / Grid.symmetric().dx)   # rolls of the default grid with |m dx| <= 5
 
 
@@ -81,7 +81,7 @@ def test_shift_scan_matches_direct_evaluation(grid_small, gamma):
     # instead of shifting the soliton analytically fails near |a| = SCAN_HALFWIDTH
     cfg = short_config(gamma0=gamma, epsilon=0.01, grid=grid_small)
     f = make_perturbed_initial(cfg)
-    ev = soliton_evaluator(SpectralParameter.from_polar(gamma))
+    ev = soliton_evaluator(polar(gamma))
     shifts, dists = _shift_scan(f, ev, 0.7)
     dx = grid_small.dx
     assert np.diff(shifts) == pytest.approx(dx, rel=1e-12)
