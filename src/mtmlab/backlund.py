@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DegenerateVectorError, GridMismatchError
 from .fields import Grid, SpinorField, d_dx, integrate
-from .lax import EigenResult, JostPair
-from .solitons import SpectralParameter, require_gamma, require_lambda
+from .lax import EigenResult, JostPair, assemble_L
+from .solitons import SpectralParameter, require_gamma
 
 #: below this pointwise mass |phi1|^2+|phi2|^2 a Lax vector sample counts as
 #: vanished (a true solution that vanishes anywhere vanishes identically)
@@ -92,10 +92,6 @@ class RiccatiField:
     gamma_var: np.ndarray
     valid: np.ndarray
 
-    @property
-    def invalid_count(self) -> int:
-        return int((~self.valid).sum())
-
     @classmethod
     def from_lax_vector(cls, phi: SpinorField) -> "RiccatiField":
         mod2 = np.abs(phi.v)
@@ -116,29 +112,26 @@ class RiccatiField:
 def riccati_residual(g: RiccatiField, f: SpinorField, lam: complex) -> float:
     """Scale-invariant L2 residual of the spatial Riccati equation.
 
-    Gamma solves Gamma_x = A Gamma + B + C Gamma^2.  Where |Gamma| > 1 the
-    stencil is taken on 1/Gamma instead, which solves (1/Gamma)_x =
-    -A/Gamma - C - B/Gamma^2 and stays smooth through a pole of Gamma.  The
-    raw residual of the variable used is divided by 1 + |variable|^2 (the
-    chordal metric on the Riemann sphere), which makes the check meaningful
-    on the exponentially large/small tails, gives the same value for either
-    variable, and is invariant under the Backlund companion map Gamma ->
-    1/conj(Gamma).  The two samples on each boundary (where no centered
-    stencil exists) and invalid samples are excluded.
+    Gamma solves Gamma_x = A Gamma + B + C Gamma^2, with A = 2 a11, B = a12
+    and C = -a21 from the spatial Lax operator `assemble_L`.  Where
+    |Gamma| > 1 the stencil is taken on 1/Gamma instead, which solves
+    (1/Gamma)_x = -A/Gamma - C - B/Gamma^2 and stays smooth through a pole
+    of Gamma.  The raw residual of the variable used is divided by
+    1 + |variable|^2 (the chordal metric on the Riemann sphere), which makes
+    the check meaningful on the exponentially large/small tails, gives the
+    same value for either variable, and is invariant under the Backlund
+    companion map Gamma -> 1/conj(Gamma).  The two samples on each boundary
+    (where no centered stencil exists) and invalid samples are excluded.
     """
     if g.grid != f.grid:
         raise GridMismatchError("Riccati field and background live on different grids")
-    lam = require_lambda(lam)
-    rho1 = 0.5 / lam
-    rho2 = 0.5 * lam
+    op = assemble_L(f, lam)
+    a, b, c = 2.0 * op.a11, op.a12, -op.a21
     gam = g.gamma_var
-    a = 2j * (rho2 ** 2 - rho1 ** 2) + 0.5j * (np.abs(f.u) ** 2 - np.abs(f.v) ** 2)
-    b = -1j * (rho2 * np.conj(f.v) - rho1 * np.conj(f.u))
-    c = 1j * (rho2 * f.v - rho1 * f.u)
     big = np.abs(gam) > 1.0
     inv = np.divide(1.0, gam, out=np.zeros_like(gam), where=gam != 0)
     w = np.where(big, inv, gam)
-    dw = np.where(big, d_dx(inv, g.grid, accuracy=4), d_dx(gam, g.grid, accuracy=4))
+    dw = np.where(big, d_dx(inv, g.grid), d_dx(gam, g.grid))
     rhs = np.where(big, -(a * w + c + b * w ** 2), a * w + b + c * w ** 2)
     resid = np.abs(dw - rhs) / (1.0 + np.abs(w) ** 2)
     mask = g.valid.copy()

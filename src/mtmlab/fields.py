@@ -5,10 +5,14 @@ x_j = x_min + j*dx, j = 0..n-1, with dx = (x_max - x_min)/n (periodic
 convention: x_max is identified with x_min).  Fields are immutable after
 construction; all operations here are pure.
 
-Snapshots are lossless CSV: one %.17g decimal per value.  The writer makes
-the whole text with one % over the flat values and a row template cached on
-the grid, whose x column is formatted once per grid; the reader parses the
-header and the body through one open handle.
+Snapshots are lossless CSV: the column header, a grid line
+`# x_min=<x_min> x_max=<x_max> n=<n>`, then one row per grid point with one
+%.17g decimal per value.  The grid line stores the bounds exactly, so the
+reader builds the writer's grid from it and checks the x column and the row
+count against it; a file without it is rejected.  The writer makes the text
+with one % over the flat values and a template cached on the grid, whose grid
+line and x column are formatted once per grid; the reader parses the file
+through one open handle.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,13 +62,16 @@ class Grid:
         return x
 
     @cached_property
-    def _csv_rows(self) -> str:
-        """The snapshot body as one %-template: x in %.17g, four %.17g slots per row.
+    def _csv_body(self) -> str:
+        """The snapshot below its header as one %-template.
 
-        Every snapshot of a run shares its grid, so the x column is
-        formatted once.
+        The grid line comes first, then one row per point: x in %.17g and
+        four %.17g slots.  Every snapshot of a run shares its grid, so the
+        grid line and the x column are formatted once.
         """
-        return "".join("%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % xj for xj in self.x.tolist())
+        grid_line = "# x_min=%.17g x_max=%.17g n=%d\n" % (self.x_min, self.x_max, self.n)
+        return grid_line + "".join("%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % xj
+                                   for xj in self.x.tolist())
 
     @classmethod
     def symmetric(cls, half_width: float = 30.0, n: int = 4096) -> "Grid":
@@ -146,15 +154,10 @@ def combined_l2_distance(f: SpinorField, g: SpinorField) -> float:
 # discrete derivatives
 # ---------------------------------------------------------------------------
 
-def d_dx(arr: np.ndarray, grid: Grid, accuracy: int = 2) -> np.ndarray:
-    """First derivative by periodic centered differences (accuracy 2 or 4)."""
-    h = grid.dx
-    if accuracy == 2:
-        return (np.roll(arr, -1) - np.roll(arr, 1)) / (2 * h)
-    if accuracy == 4:
-        return (np.roll(arr, 2) - 8 * np.roll(arr, 1)
-                + 8 * np.roll(arr, -1) - np.roll(arr, -2)) / (12 * h)
-    raise ValueError("accuracy must be 2 or 4")
+def d_dx(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """First derivative by fourth-order periodic centered differences."""
+    return (np.roll(arr, 2) - 8 * np.roll(arr, 1)
+            + 8 * np.roll(arr, -1) - np.roll(arr, -2)) / (12 * grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +256,16 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _format_rows(grid: Grid, c1: np.ndarray, c2: np.ndarray, header: str) -> str:
-    """The CSV text: header, then rows x,re c1,im c1,re c2,im c2 in %.17g.
+    """The CSV text: header, grid line, then rows x,re c1,im c1,re c2,im c2 in %.17g.
 
-    One % over the grid's row template and the flat row-major values
+    One % over the grid's body template and the flat row-major values
     (Python floats, so -0, subnormals and 3-digit exponents print as
     `"%.17g" % float` does).
     """
     vals = np.empty((grid.n, 4))
     vals[:, 0], vals[:, 1] = c1.real, c1.imag
     vals[:, 2], vals[:, 3] = c2.real, c2.imag
-    return header + "\n" + grid._csv_rows % tuple(vals.ravel().tolist())
+    return header + "\n" + grid._csv_body % tuple(vals.ravel().tolist())
 
 
 def write_field_csv(f: SpinorField, path: str) -> None:
@@ -275,36 +278,20 @@ def write_lax_csv(vec: SpinorField, path: str) -> None:
     _atomic_write_text(path, _format_rows(vec.grid, vec.u, vec.v, LAX_CSV_HEADER))
 
 
-#: ulps around the estimated x_max searched for the grid that wrote a column
-_X_MAX_ULPS = 16
+_GRID_LINE = re.compile(r"# x_min=(\S+) x_max=(\S+) n=(\d+)")
 
 
-def _column_x_max(x: np.ndarray) -> float:
-    """The x_max whose `Grid.x` reproduces the column x bit for bit.
-
-    It is estimated from the mean spacing (x[-1] - x[0])/(n - 1), then looked
-    for within _X_MAX_ULPS ulps.  Neighbouring x_max often share one dx and
-    so one column; of those the shortest decimal wins, which recovers bounds
-    written as round numbers.  A column no grid reproduces (one written with
-    fewer digits) keeps the estimate.
-    """
-    n = len(x)
-    x0 = float(x[0])
-    est = x0 + n * ((x[-1] - x0) / (n - 1))
-    cands, lo, hi = [est], est, est
-    for _ in range(_X_MAX_ULPS):
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-        cands += [lo, hi]
-
-    def reproduces(c: float) -> bool:
-        g = Grid(x0, c, n)
-        # the last sample is a cheap necessary check before the whole column
-        return x0 + g.dx * (n - 1) == x[-1] and np.array_equal(g.x, x)
-
-    hits = [c for c in map(float, cands) if c > x0 and reproduces(c)]
-    if not hits:
-        return float(est)
-    return min(hits, key=lambda c: (len(repr(c)), abs(c - est)))
+def _read_grid(path: str, line: str) -> Grid:
+    """The grid the snapshot's grid line states, exactly as it was written."""
+    m = _GRID_LINE.fullmatch(line.rstrip("\n"))
+    if m is None:
+        raise FieldValidationError(
+            f"{path}: expected the grid line '# x_min=... x_max=... n=...' after the header, "
+            f"got {line.rstrip()!r}")
+    try:
+        return Grid(float(m[1]), float(m[2]), int(m[3]))
+    except (ValueError, FieldValidationError) as e:
+        raise FieldValidationError(f"{path}: invalid grid line {line.rstrip()!r}: {e}") from None
 
 
 def _read_rows(path: str, expected_header: str):
@@ -313,15 +300,19 @@ def _read_rows(path: str, expected_header: str):
         if header != expected_header:
             raise FieldValidationError(
                 f"{path}: expected header {expected_header!r}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        grid = _read_grid(path, fh.readline())
+        rows = fh.read().splitlines()
+    if len(rows) != grid.n:
+        raise FieldValidationError(f"{path}: expected {grid.n} rows, got {len(rows)}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise FieldValidationError(f"{path}: {e}") from None
     if data.shape[1] != 5:
         raise FieldValidationError(f"{path}: expected 5 columns, got {data.shape[1]}")
-    x = data[:, 0]
-    n = len(x)
-    dx = np.diff(x)
-    if n < 8 or not np.allclose(dx, dx[0], rtol=1e-12, atol=0.0):
-        raise FieldValidationError(f"{path}: grid is not uniform")
-    grid = Grid(float(x[0]), _column_x_max(x), n)
+    # Grid.x's points, computed here so that a snapshot's grid caches no copy
+    if not np.array_equal(data[:, 0], grid.x_min + grid.dx * np.arange(grid.n)):
+        raise FieldValidationError(f"{path}: the x column is not the grid its grid line states")
     c1 = data[:, 1] + 1j * data[:, 2]
     c2 = data[:, 3] + 1j * data[:, 4]
     return grid, c1, c2

@@ -70,14 +70,17 @@ class LaxOperatorSample:
     a22: np.ndarray
 
 
+def _l_off_diagonal(u: np.ndarray, v: np.ndarray, lam: complex):
+    """L's off-diagonal (a12, a21) = ((i/2)(conj(u)/lam - conj(v) lam), (i/2)(u/lam - v lam))."""
+    return 0.5j * (np.conj(u) / lam - np.conj(v) * lam), 0.5j * (u / lam - v * lam)
+
+
 def assemble_L(f: SpinorField, lam: complex) -> LaxOperatorSample:
     """Spatial Lax operator: traceless, diagonal (i/4)(|u|^2-|v|^2+lam^2-lam^-2)."""
     lam = require_lambda(lam)
     u, v = f.u, f.v
     diag = 0.25j * (np.abs(u) ** 2 - np.abs(v) ** 2 + lam ** 2 - lam ** -2)
-    a12 = 0.5j * (np.conj(u) / lam - np.conj(v) * lam)
-    a21 = 0.5j * (u / lam - v * lam)
-    return LaxOperatorSample(f.grid, diag, a12, a21, -diag)
+    return LaxOperatorSample(f.grid, diag, *_l_off_diagonal(u, v, lam), -diag)
 
 
 def assemble_A(f: SpinorField, lam: complex) -> LaxOperatorSample:
@@ -288,11 +291,9 @@ class _JostWorkspace:
         return _rk4_transfer(*nodes[::-1], -self.grid.dx), init
 
     def _lambda_brackets(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(i/2)(conj(u)/lam - conj(v) lam) and (i/2)(u/lam - v lam) at the nodes."""
+        """L's off-diagonal entries a12 and a21 at the nodes."""
         if self._brackets is None or self._brackets[0] != lam:
-            bp = 0.5j * (np.conj(self.u_nodes) / lam - np.conj(self.v_nodes) * lam)
-            bq = 0.5j * (self.u_nodes / lam - self.v_nodes * lam)
-            self._brackets = (lam, bp, bq)
+            self._brackets = (lam, *_l_off_diagonal(self.u_nodes, self.v_nodes, lam))
         return self._brackets[1:]
 
     def _half_levels(self, lam: complex):
@@ -601,17 +602,6 @@ class EigenvectorRemainder:
     scale: complex
     gauge: np.ndarray
     eigenvector: SpinorField
-
-    def reconstruct(self) -> SpinorField:
-        """Rebuild the eigenvector from the remainders (exact on the window)."""
-        env = soliton_eigenvector(self.gamma, 0.0, self.grid)
-        phi1 = env.u * (1.0 + self.r11) + env.v * self.r12
-        phi2 = env.u * self.r21 + env.v * (1.0 + self.r22)
-        psi1 = self.gauge * phi1 / self.scale
-        psi2 = np.conj(self.gauge) * phi2 / self.scale
-        out1 = np.where(self.window, psi1, self.eigenvector.u)
-        out2 = np.where(self.window, psi2, self.eigenvector.v)
-        return SpinorField(self.grid, out1, out2)
 
 
 def eigenvector_remainder(f: SpinorField, res: EigenResult) -> EigenvectorRemainder:

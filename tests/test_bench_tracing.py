@@ -1,8 +1,6 @@
 """The module attributes `bench/tracing.py` patches exist, and the code calls them."""
 
 import importlib
-import importlib.util
-import pathlib
 
 import numpy as np
 
@@ -10,18 +8,11 @@ from mtmlab import cli, lax
 from mtmlab.fields import Grid, write_field_csv
 from mtmlab.solitons import stationary_soliton
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from helpers import load_bench_module
 
 
 def test_trace_sites_resolve_to_callables():
-    tracing = _load_tracing()
+    tracing = load_bench_module("tracing")
     sites = [site[:2] for site in tracing.SPAN_SITES + tracing.COUNT_SITES]
     assert ("mtmlab.cli", "write_lax_csv") in sites
     assert ("mtmlab.lax", "csech") in sites
@@ -37,7 +28,7 @@ def test_lax_spans_see_the_eigenvalue_search():
     at 0 calls, and the traced benchmark would attribute nothing to it.  The
     search builds no whole-line Jost pair, so solve_jost is not called.
     """
-    tracing = _load_tracing()
+    tracing = load_bench_module("tracing")
     f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, Grid.symmetric(30.0, 512))
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
@@ -58,7 +49,7 @@ def test_evolve_spans_see_every_snapshot(tmp_path):
     `cli_snapshots` spans short, and the traced benchmark would misplace the
     time of the snapshot loop.
     """
-    tracing = _load_tracing()
+    tracing = load_bench_module("tracing")
     grid = Grid.symmetric(30.0, 64)
     src = tmp_path / "f.csv"
     write_field_csv(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid), str(src))

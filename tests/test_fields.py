@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,17 +143,26 @@ def test_field_csv_roundtrip(tmp_path, grid, rng):
     assert np.array_equal(f2.v, f.v)
 
 
+#: computed half-widths; several neighbouring x_max write the same x column
+_COMPUTED_HALF_WIDTHS = (10 * np.pi, 30 / np.sqrt(2), 16 / np.sin(0.3), 7 * np.e,
+                         12.345678901234567)
+
+
 @pytest.mark.parametrize("x_min,x_max,n", [(-30.0, 30.0, 1000), (-30.0, 30.0, 777),
                                            (-25.0, 25.0, 3000), (-7.0, 7.0, 100),
-                                           (-33.3, 33.3, 5000), (-3.7, 1.85, 1000)])
+                                           (-33.3, 33.3, 5000), (-3.7, 1.85, 1000)]
+                         + [(-h, h, n) for h in _COMPUTED_HALF_WIDTHS
+                            for n in (100, 777, 1000, 3000, 4096)])
 def test_csv_roundtrip_keeps_non_dyadic_grid(tmp_path, x_min, x_max, n):
     """A field read from its own file is on the grid it was written from.
 
-    On the first three the first difference of the x column gave x_max
-    2e-12 too small (29.99999999999872 at L = 30, n = 1000).  On the next
-    two the mean spacing misses x_max by an ulp or two.  On the last,
-    several neighbouring x_max write the same column, and the one nearest
-    the estimate is not 1.85.
+    None of these grids can be told from its x column alone.  On the first
+    three the first difference of the column gave x_max 2e-12 too small
+    (29.99999999999872 at L = 30, n = 1000); on the next two the mean
+    spacing misses x_max by an ulp or two.  On the last one and on many of
+    the computed half-widths, neighbouring x_max write the same column
+    (19.027972799213316 and 19.02797279921332 at 7e).  The grid line keeps
+    the bounds.
     """
     grid = Grid(x_min, x_max, n)
     f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
@@ -191,10 +202,14 @@ def test_csv_writers_match_the_per_row_formatter(tmp_path_factory, n, x_min, wid
     uv = vals.view(np.complex128)
     f = SpinorField(grid, uv[:, 0], uv[:, 1])
     path = tmp_path_factory.mktemp("csv") / "f.csv"
-    for write, header in ((write_field_csv, FIELD_CSV_HEADER), (write_lax_csv, LAX_CSV_HEADER)):
+    for write, read, header in ((write_field_csv, read_field_csv, FIELD_CSV_HEADER),
+                                (write_lax_csv, read_lax_csv, LAX_CSV_HEADER)):
         write(f, str(path))
-        want = format_rows_per_row(grid.x, f.u, f.v, header)
+        want = format_rows_per_row(grid, f.u, f.v, header)
         assert path.read_bytes() == want.encode()
+        back = read(str(path))
+        assert back.grid == grid
+        assert np.array_equal(back.u, f.u) and np.array_equal(back.v, f.v)
 
 
 def test_csv_header_check(tmp_path, grid):
@@ -202,6 +217,48 @@ def test_csv_header_check(tmp_path, grid):
     write_lax_csv(soliton_eigenvector(np.pi / 3, 0.0, grid), str(path))
     with pytest.raises(FieldValidationError):
         read_field_csv(str(path))
+
+
+def _set_cell(row, col, text):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = text
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return edit
+
+
+#: edits of a valid n = 16 snapshot's lines, and a phrase of the error each must raise
+_MALFORMED = {
+    "old-format": (lambda lines: lines[:1] + lines[2:], "grid line"),
+    "header-only": (lambda lines: lines[:1], "grid line"),
+    "no-rows": (lambda lines: lines[:2], "expected 16 rows, got 0"),
+    "row-missing": (lambda lines: lines[:-1], "expected 16 rows, got 15"),
+    "row-extra": (lambda lines: lines + lines[-1:], "expected 16 rows, got 17"),
+    "other-grid": (lambda lines: [lines[0], "# x_min=-30 x_max=30.5 n=16"] + lines[2:],
+                   "x column"),
+    "x-off-grid": (_set_cell(2, 0, "-29.5"), "x column"),
+    "non-numeric": (_set_cell(5, 3, "abc"), "abc"),
+    "short-row": (lambda lines: lines[:7] + ["1,2,3"] + lines[8:], "columns"),
+    "long-row": (lambda lines: lines[:7] + [lines[7] + ",0"] + lines[8:], "columns"),
+}
+
+
+@pytest.mark.parametrize("edit,reason", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_csv_reader_rejects_malformed_files(tmp_path, edit, reason):
+    """Each malformed snapshot raises FieldValidationError naming the file, with no warning.
+
+    The old format without the grid line is among them: its x column alone
+    does not fix the grid.
+    """
+    path = tmp_path / "f.csv"
+    write_field_csv(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, Grid.symmetric(30.0, 16)),
+                    str(path))
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldValidationError, match=reason) as exc:
+            read_field_csv(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_combined_distance_sums_component_norms(grid):
