@@ -24,7 +24,7 @@ from .errors import MtmError
 from .evolution import EvolutionConfig, charge, evolve
 from .fields import (
     Grid,
-    _atomic_write_text,
+    _atomic_write,
     read_field_csv,
     read_lax_csv,
     write_field_csv,
@@ -58,9 +58,11 @@ class RunManifest:
     `timings` holds per-stage wall times in seconds where the subcommand
     measures them: `mtmlab eigen` records `read_s` (the field read),
     `eigen_s` (the eigenvalue search) and `write_s` (the result and
-    eigenvector writes); `mtmlab evolve` records `evolve_s` (the evolve
-    call less its snapshot writes) and `write_s` (the snapshot and series
-    writes).
+    eigenvector writes); `mtmlab backlund` records `read_s` (the field
+    read, and the eigenvector read going down), `backlund_s` (the down map,
+    or the time BVP and the up map) and `write_s` (the field write);
+    `mtmlab evolve` records `evolve_s` (the evolve call less its snapshot
+    writes) and `write_s` (the snapshot and series writes).
     """
 
     subcommand: str
@@ -95,7 +97,7 @@ def _write_manifest(path: str, subcommand: str, params: dict, t0: float,
         outputs={p: file_digest(p) for p in outputs},
         timings=timings or {},
     )
-    _atomic_write_text(path, man.to_json())
+    _atomic_write(path, man.to_json().encode())
 
 
 def _resolve_out(path: str) -> str:
@@ -220,7 +222,7 @@ def _cmd_eigen(args) -> int:
         "evans_residual": res.evans_residual,
         "iterations": res.iterations,
     }
-    _atomic_write_text(out_json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_json, json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
     write_lax_csv(res.eigenvector, out_vec)
     timings = {"read_s": t_eigen - t_read, "eigen_s": t_write - t_eigen,
                "write_s": time.perf_counter() - t_write}
@@ -238,25 +240,32 @@ def _cmd_backlund(args) -> int:
     lam = complex(p.value("lambda_re", float, required=True),
                   p.value("lambda_im", float, required=True))
     direction = p.value("direction", str)
+    if direction not in ("down", "up"):
+        raise SystemExit2(f"--direction must be 'down' or 'up', got {direction!r}")
     out = _resolve_out(p.value("out", str, required=True))
 
+    t_read = time.perf_counter()
     f = read_field_csv(field_path)
     inputs = [field_path]
     if direction == "down":
         vec_path = p.value("eigenvector", str, required=True)
         vec = read_lax_csv(vec_path)
         inputs.append(vec_path)
+    t_backlund = time.perf_counter()
+    if direction == "down":
         g = backlund_transform(f, vec, lam)
-    elif direction == "up":
+    else:
         a = p.value("a", float)
         theta = p.value("theta", float)
         t = p.value("t", float)
         jost = solve_time_bvp(f, lam, t)
         g = up_map(f, jost, lam, a, theta)
-    else:
-        raise SystemExit2(f"--direction must be 'down' or 'up', got {direction!r}")
+    t_write = time.perf_counter()
     write_field_csv(g, out)
-    _write_manifest(out + ".manifest.json", "backlund", p.resolved, t0, inputs, [out])
+    timings = {"read_s": t_backlund - t_read, "backlund_s": t_write - t_backlund,
+               "write_s": time.perf_counter() - t_write}
+    _write_manifest(out + ".manifest.json", "backlund", p.resolved, t0, inputs, [out],
+                    timings)
     print(f"backlund[{direction}]: wrote {out} (charge = {charge(g):.12g})")
     return 0
 
@@ -291,7 +300,7 @@ def _cmd_evolve(args) -> int:
     t_series = time.perf_counter()
     series_path = f"{prefix}series.csv"
     lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]
-    _atomic_write_text(series_path, "\n".join(lines) + "\n")
+    _atomic_write(series_path, ("\n".join(lines) + "\n").encode())
     outputs.append(series_path)
     write_s += time.perf_counter() - t_series
     _write_manifest(f"{prefix}manifest.json", "evolve", p.resolved, t0,
@@ -342,10 +351,10 @@ def _cmd_stability(args) -> int:
         else:
             tag = ("%g" % row.epsilon).replace(".", "p").replace("-", "m")
             rec_path = os.path.join(out_dir, f"records_eps{tag}.csv")
-        _atomic_write_text(rec_path, format_records_csv(res.records))
+        _atomic_write(rec_path, format_records_csv(res.records).encode())
         outputs.append(rec_path)
     sum_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write_text(sum_path, format_summary_csv(sw))
+    _atomic_write(sum_path, format_summary_csv(sw).encode())
     outputs.append(sum_path)
     if len(epsilons) > 1:
         print("stability sweep slopes:", json.dumps(sw.slopes, sort_keys=True))

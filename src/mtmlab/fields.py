@@ -9,10 +9,11 @@ Snapshots are lossless CSV: the column header, a grid line
 `# x_min=<x_min> x_max=<x_max> n=<n>`, then one row per grid point with one
 %.17g decimal per value.  The grid line stores the bounds exactly, so the
 reader builds the writer's grid from it and checks the x column and the row
-count against it; a file without it is rejected.  The writer makes the text
-with one % over the flat values and a template cached on the grid, whose grid
-line and x column are formatted once per grid; the reader parses the file
-through one open handle.
+count against it; a file without it is rejected.  The writer formats the
+values with the vectorized `g17` kernel, whose bytes are those of one
+`"%.17g" % v` per value, and reuses the x column's cells, formatted once per
+grid; it writes the bytes through a temporary file and a rename.  The reader
+parses the file through one open handle.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import math
 import numbers
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldValidationError, GridMismatchError
+from .g17 import g17_cells, g17_csv_rows
 
 FIELD_CSV_HEADER = "x,re_u,im_u,re_v,im_v"
 LAX_CSV_HEADER = "x,re_phi1,im_phi1,re_phi2,im_phi2"
@@ -62,16 +63,9 @@ class Grid:
         return x
 
     @cached_property
-    def _csv_body(self) -> str:
-        """The snapshot below its header as one %-template.
-
-        The grid line comes first, then one row per point: x in %.17g and
-        four %.17g slots.  Every snapshot of a run shares its grid, so the
-        grid line and the x column are formatted once.
-        """
-        grid_line = "# x_min=%.17g x_max=%.17g n=%d\n" % (self.x_min, self.x_max, self.n)
-        return grid_line + "".join("%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % xj
-                                   for xj in self.x.tolist())
+    def _csv_x(self) -> np.ndarray:
+        """The x column as `%.17g` cells (see `g17_cells`), formatted once per grid."""
+        return g17_cells(self.x)
 
     @classmethod
     def symmetric(cls, half_width: float = 30.0, n: int = 4096) -> "Grid":
@@ -242,12 +236,17 @@ class CellSampler:
 # snapshot I/O: lossless CSV via 17-significant-digit decimals
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file in its directory and a rename.
+
+    The temporary file is created with mode 0o666 less the umask, so the
+    result has the mode a plain open() would give it.
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -255,27 +254,25 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _format_rows(grid: Grid, c1: np.ndarray, c2: np.ndarray, header: str) -> str:
-    """The CSV text: header, grid line, then rows x,re c1,im c1,re c2,im c2 in %.17g.
+def _format_rows(grid: Grid, c1: np.ndarray, c2: np.ndarray, header: str) -> bytes:
+    """The CSV bytes: header, grid line, then rows x,re c1,im c1,re c2,im c2 in %.17g.
 
-    One % over the grid's body template and the flat row-major values
-    (Python floats, so -0, subnormals and 3-digit exponents print as
-    `"%.17g" % float` does).
+    The bytes are those of `"%.17g" % float` per value, -0, subnormals and
+    3-digit exponents included; the x cells are the grid's.
     """
-    vals = np.empty((grid.n, 4))
-    vals[:, 0], vals[:, 1] = c1.real, c1.imag
-    vals[:, 2], vals[:, 3] = c2.real, c2.imag
-    return header + "\n" + grid._csv_body % tuple(vals.ravel().tolist())
+    grid_line = "# x_min=%.17g x_max=%.17g n=%d\n" % (grid.x_min, grid.x_max, grid.n)
+    values = np.column_stack((c1, c2)).view(np.float64)
+    return (header + "\n" + grid_line).encode() + g17_csv_rows(values, grid._csv_x)
 
 
 def write_field_csv(f: SpinorField, path: str) -> None:
     """Write a field snapshot: columns x,re_u,im_u,re_v,im_v."""
-    _atomic_write_text(path, _format_rows(f.grid, f.u, f.v, FIELD_CSV_HEADER))
+    _atomic_write(path, _format_rows(f.grid, f.u, f.v, FIELD_CSV_HEADER))
 
 
 def write_lax_csv(vec: SpinorField, path: str) -> None:
     """Write a Lax-vector snapshot: columns x,re_phi1,im_phi1,re_phi2,im_phi2."""
-    _atomic_write_text(path, _format_rows(vec.grid, vec.u, vec.v, LAX_CSV_HEADER))
+    _atomic_write(path, _format_rows(vec.grid, vec.u, vec.v, LAX_CSV_HEADER))
 
 
 _GRID_LINE = re.compile(r"# x_min=(\S+) x_max=(\S+) n=(\d+)")

@@ -31,6 +31,22 @@ def test_soliton_subcommand(tmp_path):
     assert man.outputs[str(out)] == file_digest(str(out))
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask022", "umask077", "umask002"])
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    """Snapshots and manifests are created with 0o666 less the umask."""
+    out = tmp_path / "s.csv"
+    old = os.umask(umask)
+    try:
+        code = run(["soliton", "--gamma", str(GAMMA), "--grid-n", "64", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, tmp_path / "s.csv.manifest.json"):
+        assert path.stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.manifest.json"]
+
+
 def test_no_arguments_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run([])
@@ -77,6 +93,10 @@ def test_backlund_down_and_up(tmp_path):
                 "--out", str(down)])
     assert code == 0
     assert l2_norm_sq(read_field_csv(str(down))) < 1e-12
+    man = read_manifest(f"{down}.manifest.json")
+    assert man.inputs == {str(field): file_digest(str(field)), str(vec): file_digest(str(vec))}
+    assert set(man.timings) == {"read_s", "backlund_s", "write_s"}
+    assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
     up = tmp_path / "rebuilt.csv"
     code = run(["backlund", "--field", str(down), "--direction", "up",
@@ -84,6 +104,9 @@ def test_backlund_down_and_up(tmp_path):
                 "--a", "0", "--theta", "0", "--out", str(up)])
     assert code == 0
     assert l2_norm_sq(read_field_csv(str(up))) == pytest.approx(2 * np.pi, abs=1e-4)
+    timings = read_manifest(f"{up}.manifest.json").timings
+    assert set(timings) == {"read_s", "backlund_s", "write_s"}
+    assert timings["backlund_s"] > 0.0
 
 
 def test_backlund_missing_eigenvector_is_usage_error(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mtmlab.backlund import backlund_transform
 from mtmlab.errors import FieldValidationError, GridMismatchError
 from mtmlab.fields import (
     FIELD_CSV_HEADER,
@@ -21,8 +22,9 @@ from mtmlab.fields import (
     write_field_csv,
     write_lax_csv,
 )
-from mtmlab.lax import null_vectors
+from mtmlab.lax import find_eigenvalue, null_vectors
 from mtmlab.solitons import soliton_eigenvector, stationary_soliton
+from mtmlab.stability import PERTURBATION_SHAPES, ExperimentConfig, make_perturbed_initial
 
 from oracles import EinsumCellSampler, format_rows_per_row, soliton_charge_quadrature
 
@@ -184,6 +186,10 @@ def test_lax_csv_roundtrip(tmp_path, grid):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+#: any finite float64, drawn as a raw 64-bit pattern
+_finite_bits = (st.integers(0, 2 ** 64 - 1)
+                .map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+                .filter(np.isfinite))
 #: signed zeros, the smallest subnormals, the largest finite and the smallest normal
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324,
                 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, -0.0]
@@ -194,7 +200,7 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324,
        width=st.floats(1e-3, 1e6), data=st.data())
 def test_csv_writers_match_the_per_row_formatter(tmp_path_factory, n, x_min, width, data):
     """Both writers give the bytes of one %.17g per value, row by row."""
-    vals = data.draw(arrays(np.float64, (n, 4), elements=_finite))
+    vals = data.draw(arrays(np.float64, (n, 4), elements=st.one_of(_finite, _finite_bits)))
     vals.ravel()[:len(_EDGE_VALUES)] = _EDGE_VALUES
     grid = Grid(x_min, x_min + width, n)
     # each row's (re u, im u, re v, im v) read as two complex numbers, so that
@@ -210,6 +216,22 @@ def test_csv_writers_match_the_per_row_formatter(tmp_path_factory, n, x_min, wid
         back = read(str(path))
         assert back.grid == grid
         assert np.array_equal(back.u, f.u) and np.array_equal(back.v, f.v)
+
+
+def test_csv_writers_match_the_per_row_formatter_on_pipeline_fields(tmp_path):
+    """The n = 4096 fields of the snapshot pipeline (gamma = pi/2, eps = 0.01): the
+    perturbed soliton, its eigenvector and the small field the down map leaves."""
+    path = tmp_path / "f.csv"
+    for shape in PERTURBATION_SHAPES:
+        f = make_perturbed_initial(ExperimentConfig(
+            gamma0=np.pi / 2, epsilon=0.01, perturbation_seed=7, perturbation_shape=shape,
+            grid=Grid.symmetric(30.0, 4096)))
+        res = find_eigenvalue(f, np.exp(0.25j * np.pi))
+        for g in (f, res.eigenvector, backlund_transform(f, res.eigenvector, res.lam)):
+            for write, header in ((write_field_csv, FIELD_CSV_HEADER),
+                                  (write_lax_csv, LAX_CSV_HEADER)):
+                write(g, str(path))
+                assert path.read_bytes() == format_rows_per_row(g.grid, g.u, g.v, header).encode()
 
 
 def test_csv_header_check(tmp_path, grid):
