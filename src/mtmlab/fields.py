@@ -236,14 +236,24 @@ class CellSampler:
 # snapshot I/O: lossless CSV via 17-significant-digit decimals
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write data to path through a temporary file in its directory and a rename.
+def _create_temporary(directory: str) -> tuple[str, int]:
+    """A new file tmp<8 hex>.tmp in directory, open for writing, and its name.
 
-    The temporary file is created with mode 0o666 less the umask, so the
-    result has the mode a plain open() would give it.
+    The file is created with mode 0o666 less the umask, the mode a plain
+    open() gives; a name already taken is redrawn.
     """
-    tmp = f"{os.path.abspath(path)}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    for _ in range(16):
+        tmp = os.path.join(directory, f"tmp{os.urandom(4).hex()}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            pass
+    raise FileExistsError(f"no free temporary file name in {directory}")
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file in its directory and a rename."""
+    tmp, fd = _create_temporary(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -234,6 +234,25 @@ def test_csv_writers_match_the_per_row_formatter_on_pipeline_fields(tmp_path):
                 assert path.read_bytes() == format_rows_per_row(g.grid, g.u, g.v, header).encode()
 
 
+def test_csv_writer_takes_the_longest_file_name(tmp_path, grid_small):
+    """The temporary file's name does not grow with the target's: a 255-byte name works."""
+    f = SpinorField.zero(grid_small)
+    path = tmp_path / ("a" * 251 + ".csv")
+    write_field_csv(f, str(path))
+    assert read_field_csv(str(path)).grid == grid_small
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_csv_writer_redraws_a_taken_temporary_name(tmp_path, grid_small, monkeypatch):
+    taken = tmp_path / "tmp00000000.tmp"
+    taken.write_bytes(b"kept")
+    draws = iter([b"\0" * 4, b"\1" * 4])
+    monkeypatch.setattr("os.urandom", lambda n: next(draws))
+    write_field_csv(SpinorField.zero(grid_small), str(tmp_path / "f.csv"))
+    assert taken.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "tmp00000000.tmp"]
+
+
 def test_csv_header_check(tmp_path, grid):
     path = tmp_path / "v.csv"
     write_lax_csv(soliton_eigenvector(np.pi / 3, 0.0, grid), str(path))

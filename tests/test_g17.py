@@ -72,18 +72,16 @@ def test_g17_matches_percent_on_scaled_normals():
 def test_g17_csv_rows_lay_out_cells():
     values = np.array([[1.0, -0.0], [1e-7, 2.5], [-3.0, 1e300]])
     assert g17_cells(values).shape == (3, 2, 6)
-    assert g17_csv_rows(values) == (b"1,-0\n9.9999999999999995e-08,2.5\n"
-                                    b"-3,1.0000000000000001e+300\n")
     lead = g17_cells(np.array([0.5, 7.0, -1e-5]))
-    assert g17_csv_rows(values[:, :1], lead) == (b"0.5,1\n7,9.9999999999999995e-08\n"
-                                                 b"-1.0000000000000001e-05,-3\n")
+    assert g17_csv_rows(values, lead) == (b"0.5,1,-0\n7,9.9999999999999995e-08,2.5\n"
+                                          b"-1.0000000000000001e-05,-3,1.0000000000000001e+300\n")
 
 
 def test_g17_csv_rows_match_percent_across_blocks():
     """More rows than one kernel call takes: the blocks join seamlessly."""
-    values = _RNG.normal(size=(5000, 3))
-    want = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist())
-    assert g17_csv_rows(values) == want.encode()
+    values = _RNG.normal(size=(5000, 4))
+    want = "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in values.tolist())
+    assert g17_csv_rows(values[:, 1:], g17_cells(values[:, 0])) == want.encode()
 
 
 def test_pow10_table_is_the_exact_double_double():
