@@ -318,6 +318,8 @@ def _cmd_stability(args) -> int:
     gamma0 = p.value("gamma0", float, required=True)
     eps_raw = p.value("epsilon", required=True)     # comma-separated (see main)
     epsilons = [float(tok) for tok in eps_raw.split(",") if tok.strip()]
+    if not epsilons:
+        raise SystemExit2(f"--epsilon lists no value, got {eps_raw!r}")
     p.resolved["epsilon"] = epsilons
     seed = p.value("seed", int)
     t_end = p.value("t_end", float)

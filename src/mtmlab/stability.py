@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .backlund import down_map, up_map, up_map_tangents
 from .errors import MtmError, ParameterError
@@ -67,8 +66,12 @@ class ExperimentConfig:
             raise ParameterError(f"unknown pipeline {self.pipeline!r}")
         if not math.isfinite(self.t_end) or self.t_end <= 0:
             raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
-        if self.times is not None and not all(math.isfinite(t) and t >= 0 for t in self.times):
-            raise ParameterError(f"sample times must be finite and nonnegative, got {self.times}")
+        if self.times is not None:
+            if not self.times:
+                raise ParameterError("sample times must not be empty")
+            if not all(math.isfinite(t) and t >= 0 for t in self.times):
+                raise ParameterError(
+                    f"sample times must be finite and nonnegative, got {self.times}")
 
     def sample_times(self) -> tuple[float, ...]:
         if self.times is not None:
@@ -170,6 +173,8 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     ||du||^2 + ||dv||^2; it is not re-optimized for the norm-sum.  The
     soliton is shifted analytically, so no field interpolation enters.
     """
+    from scipy.optimize import minimize_scalar
+
     ev = soliton_evaluator(p)
     shifts, dists = _shift_scan(f, ev, t)
     j = int(np.argmin(dists))
@@ -255,6 +260,18 @@ FIT_GTOL = 1e-8
 FIT_STEP_TOL = 1e-9
 #: objective value where the up map fails; no accepted step can reach it
 FIT_PENALTY = 1e6
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first use.
+
+    SciPy's optimize package takes longer to import than a whole eigen or
+    evolve command, so only the fits and the modulated distance load it.
+    The result is scipy's OptimizeResult, unchanged.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class _FitPoint:

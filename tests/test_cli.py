@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -163,6 +166,50 @@ def test_non_finite_inputs_are_typed_errors(tmp_path, capsys):
                 "--out", str(tmp_path / "nan.csv")])
     assert code == 1
     assert "error: FieldValidationError: grid bounds" in capsys.readouterr().err
+
+
+def test_empty_epsilon_list_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon =\n")
+    for args in (["--epsilon", ","], ["--config", str(cfg)]):
+        code = run(["stability", "--gamma0", str(GAMMA), *args, "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "usage error: --epsilon lists no value" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_IMPORT_PROBE = textwrap.dedent('''
+    import json, os, sys
+    import mtmlab
+    from mtmlab import cli
+    os.chdir(sys.argv[1])
+    assert cli.main(["soliton", "--gamma", "1.5", "--grid-n", "256", "--out", "s.csv"]) == 0
+    assert cli.main(["eigen", "--field", "s.csv", "--guess-re", "0.73", "--guess-im", "0.68",
+                     "--out-json", "e.json", "--out-eigenvector", "v.csv"]) == 0
+    with open("e.json") as fh:
+        eig = json.load(fh)
+    assert cli.main(["backlund", "--field", "s.csv", "--eigenvector", "v.csv",
+                     "--lambda-re", repr(eig["lambda_re"]), "--lambda-im", repr(eig["lambda_im"]),
+                     "--out", "small.csv"]) == 0
+    assert cli.main(["evolve", "--field", "s.csv", "--dt", repr(60.0 / 256), "--t-end", "1",
+                     "--out-prefix", "run_"]) == 0
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, loaded[:5]
+    field = mtmlab.read_field_csv("s.csv")
+    mtmlab.modulated_distance(field, mtmlab.SpectralParameter(complex(0.73, 0.68)), 0.0)
+    assert "scipy.optimize" in sys.modules
+''')
+
+
+def test_scipy_loads_only_at_the_first_distance(tmp_path):
+    """`import mtmlab` and the soliton, eigen, backlund and evolve commands load numpy only."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_file_precedence(tmp_path):

@@ -214,7 +214,7 @@ def test_config_validation(grid):
         ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, t_end=float("inf"))
     with pytest.raises(ParameterError):
         ExperimentConfig(gamma0=GAMMA0, epsilon=float("nan"))
-    for times in ((0.0, -2.0), (0.0, float("nan"))):
+    for times in ((), (0.0, -2.0), (0.0, float("nan"))):
         with pytest.raises(ParameterError):
             ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, times=times)
 
