@@ -1,7 +1,7 @@
 """Command-line entry point: soliton, eigen, backlund, evolve, stability.
 
 Every invocation resolves its parameters with precedence
-flag > config file > built-in default, runs one subcommand, and writes a
+flag > config file > `_COMMANDS` default, runs one subcommand, and writes a
 run manifest (resolved parameters, tool version, wall time, SHA-256 digests
 of inputs and outputs) beside the outputs.  Outputs are CSV for fields and
 time series, JSON for scalar results; all writes are atomic
@@ -38,6 +38,8 @@ from .solitons import (
     stationary_soliton_evaluator,
 )
 from .stability import (
+    PERTURBATION_SHAPES,
+    PIPELINES,
     ExperimentConfig,
     format_records_csv,
     format_summary_csv,
@@ -126,31 +128,46 @@ def load_config(path: str) -> dict:
     return out
 
 
-class _Params:
-    """Resolved parameters of one subcommand with typed accessors."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        cfg_path = getattr(args, "config", None)
-        self._config = load_config(cfg_path) if cfg_path else {}
+
+def _parse(key: str, kind, raw: str | list[str], source: str):
+    """raw as `kind` reads it, checked as argparse checks a flag; else a usage error."""
+    if isinstance(kind, list):      # a repeated flag gives a list of strings
+        text = raw if isinstance(raw, str) else ",".join(raw)
+        return [_parse(key, kind[0], tok, source) for tok in text.split(",") if tok.strip()]
+    if isinstance(kind, tuple) and raw not in kind:
+        raise SystemExit2(f"{_flag(key)}: invalid choice: {raw!r} "
+                          f"(choose from {', '.join(kind)}){source}")
+    try:
+        return raw if isinstance(kind, tuple) else kind(raw)
+    except ValueError:
+        raise SystemExit2(
+            f"{_flag(key)}: invalid {kind.__name__} value: {raw!r}{source}") from None
+
+
+class _Params:
+    """One subcommand's parameters, resolved flag > config file > table default.
+
+    Config-file strings and the strings of a repeatable flag go through
+    `_parse`; argparse has read every other flag.
+    """
+
+    def __init__(self, args: argparse.Namespace):
         self._args = args
-        self._defaults = defaults
+        self._config = load_config(args.config) if args.config else {}
         self.resolved: dict = {}
 
-    def _get(self, key: str):
-        """flag > config file > default; None means 'not provided anywhere'."""
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return flag
-        return self._config.get(key, self._defaults.get(key))
-
-    def value(self, key: str, cast=None, required: bool = False):
-        raw = self._get(key)
-        if raw is None:
-            if required:
-                raise SystemExit2(f"missing required parameter: --{key.replace('_', '-')}")
-            self.resolved[key] = None
-            return None
-        val = cast(raw) if cast is not None else raw
+    def value(self, key: str, required: bool = False):
+        kind, default, _ = _COMMANDS[self._args.subcommand][2][key]
+        raw, source = getattr(self._args, key), ""
+        if raw is None and key in self._config:
+            raw, source = self._config[key], f" in config file {self._args.config}"
+        raw = default if raw is None else raw
+        if raw is None and required:
+            raise SystemExit2(f"missing required parameter: {_flag(key)}")
+        val = _parse(key, kind, raw, source) if isinstance(raw, (str, list)) else raw
         self.resolved[key] = val
         return val
 
@@ -159,38 +176,28 @@ class SystemExit2(Exception):
     """Usage error: reported on stderr with exit code 2."""
 
 
-def _grid_from(params: _Params) -> Grid:
-    half = params.value("grid_l", float)
-    n = params.value("grid_n", int)
-    return Grid.symmetric(half, n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_GRID_DEFAULTS = {"grid_l": 30.0, "grid_n": 4096}
-
-
 def _cmd_soliton(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {**_GRID_DEFAULTS, "a": 0.0, "theta": 0.0, "t": 0.0,
-                       "delta": 1.0, "out": "soliton.csv"})
-    lam_re = p.value("lambda_re", float)
-    lam_im = p.value("lambda_im", float)
+    p = _Params(args)
+    lam_re = p.value("lambda_re")
+    lam_im = p.value("lambda_im")
     if lam_re is not None or lam_im is not None:
         lam = complex(lam_re or 0.0, lam_im or 0.0)
         sp = SpectralParameter(lam)
         gamma, delta = sp.gamma, sp.delta
         p.resolved.update({"gamma": gamma, "delta": delta})
     else:
-        gamma = p.value("gamma", float, required=True)
-        delta = p.value("delta", float)
-    a = p.value("a", float)
-    theta = p.value("theta", float)
-    t = p.value("t", float)
-    grid = _grid_from(p)
-    out = _resolve_out(p.value("out", str))
+        gamma = p.value("gamma", required=True)
+        delta = p.value("delta")
+    a = p.value("a")
+    theta = p.value("theta")
+    t = p.value("t")
+    grid = Grid.symmetric(p.value("grid_l"), p.value("grid_n"))
+    out = _resolve_out(p.value("out"))
 
     ev = stationary_soliton_evaluator(gamma, a, theta)
     if delta != 1.0:
@@ -204,12 +211,12 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_eigen(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {"out_json": "eigen.json", "out_eigenvector": "eigenvector.csv"})
-    field_path = p.value("field", str, required=True)
-    guess = complex(p.value("guess_re", float, required=True),
-                    p.value("guess_im", float, required=True))
-    out_json = _resolve_out(p.value("out_json", str))
-    out_vec = _resolve_out(p.value("out_eigenvector", str))
+    p = _Params(args)
+    field_path = p.value("field", required=True)
+    guess = complex(p.value("guess_re", required=True),
+                    p.value("guess_im", required=True))
+    out_json = _resolve_out(p.value("out_json"))
+    out_vec = _resolve_out(p.value("out_eigenvector"))
 
     t_read = time.perf_counter()
     f = read_field_csv(field_path)
@@ -235,29 +242,27 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_backlund(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {"direction": "down", "a": 0.0, "theta": 0.0, "t": 0.0})
-    field_path = p.value("field", str, required=True)
-    lam = complex(p.value("lambda_re", float, required=True),
-                  p.value("lambda_im", float, required=True))
-    direction = p.value("direction", str)
-    if direction not in ("down", "up"):
-        raise SystemExit2(f"--direction must be 'down' or 'up', got {direction!r}")
-    out = _resolve_out(p.value("out", str, required=True))
+    p = _Params(args)
+    field_path = p.value("field", required=True)
+    lam = complex(p.value("lambda_re", required=True),
+                  p.value("lambda_im", required=True))
+    direction = p.value("direction")
+    out = _resolve_out(p.value("out", required=True))
 
     t_read = time.perf_counter()
     f = read_field_csv(field_path)
     inputs = [field_path]
     if direction == "down":
-        vec_path = p.value("eigenvector", str, required=True)
+        vec_path = p.value("eigenvector", required=True)
         vec = read_lax_csv(vec_path)
         inputs.append(vec_path)
     t_backlund = time.perf_counter()
     if direction == "down":
         g = backlund_transform(f, vec, lam)
     else:
-        a = p.value("a", float)
-        theta = p.value("theta", float)
-        t = p.value("t", float)
+        a = p.value("a")
+        theta = p.value("theta")
+        t = p.value("t")
         jost = solve_time_bvp(f, lam, t)
         g = up_map(f, jost, lam, a, theta)
     t_write = time.perf_counter()
@@ -272,12 +277,12 @@ def _cmd_backlund(args) -> int:
 
 def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {"stride": 64, "out_prefix": "evolve_"})
-    field_path = p.value("field", str, required=True)
-    dt = p.value("dt", float, required=True)
-    t_end = p.value("t_end", float, required=True)
-    stride = p.value("stride", int)
-    prefix = _resolve_out(p.value("out_prefix", str))
+    p = _Params(args)
+    field_path = p.value("field", required=True)
+    dt = p.value("dt", required=True)
+    t_end = p.value("t_end", required=True)
+    stride = p.value("stride")
+    prefix = _resolve_out(p.value("out_prefix"))
 
     f0 = read_field_csv(field_path)
     cfg = EvolutionConfig(dt=dt, t_end=t_end, output_stride=stride)
@@ -312,26 +317,18 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    p = _Params(args, {**_GRID_DEFAULTS, "seed": 0, "t_end": 20.0,
-                       "pipeline": "both", "shape": "gaussian_bump",
-                       "out_dir": "stability_run"})
-    gamma0 = p.value("gamma0", float, required=True)
-    eps_raw = p.value("epsilon", required=True)     # comma-separated (see main)
-    epsilons = [float(tok) for tok in eps_raw.split(",") if tok.strip()]
+    p = _Params(args)
+    gamma0 = p.value("gamma0", required=True)
+    epsilons = p.value("epsilon", required=True)
     if not epsilons:
-        raise SystemExit2(f"--epsilon lists no value, got {eps_raw!r}")
-    p.resolved["epsilon"] = epsilons
-    seed = p.value("seed", int)
-    t_end = p.value("t_end", float)
-    pipeline = p.value("pipeline", str)
-    shape = p.value("shape", str)
-    grid = _grid_from(p)
-    out_dir = _resolve_out(p.value("out_dir", str))
-    os.makedirs(out_dir, exist_ok=True)
-
+        raise SystemExit2("--epsilon lists no value")
+    # built before the directory, so that a rejected parameter leaves none behind
     cfg = ExperimentConfig(gamma0=gamma0, epsilon=epsilons[0],
-                           perturbation_seed=seed, perturbation_shape=shape,
-                           grid=grid, t_end=t_end, pipeline=pipeline)
+                           perturbation_seed=p.value("seed"), t_end=p.value("t_end"),
+                           pipeline=p.value("pipeline"), perturbation_shape=p.value("shape"),
+                           grid=Grid.symmetric(p.value("grid_l"), p.value("grid_n")))
+    out_dir = _resolve_out(p.value("out_dir"))
+    os.makedirs(out_dir, exist_ok=True)
     outputs: list[str] = []
     failed = False
     sw = sweep(cfg, epsilons)
@@ -366,8 +363,63 @@ def _cmd_stability(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parameter table and parser
 # ---------------------------------------------------------------------------
+
+_GRID_L, _GRID_N = Grid.symmetric.__defaults__
+_GRID = {"grid_l": (float, _GRID_L, None), "grid_n": (int, _GRID_N, None)}
+
+#: subcommand -> (help, command, {parameter: (kind, default, help)}).  A kind is a
+#: converter, a tuple of allowed strings, or [converter] for a comma-separated list.
+_COMMANDS = {
+    "soliton": ("sample a soliton orbit point to CSV", _cmd_soliton, {
+        "gamma": (float, None, "width angle in (0, pi), radians"),
+        "delta": (float, 1.0, "boost parameter |lambda| (default 1)"),
+        "lambda_re": (float, None, None),
+        "lambda_im": (float, None, None),
+        "a": (float, 0.0, "spatial shift"),
+        "theta": (float, 0.0, "gauge phase"),
+        "t": (float, 0.0, "sample time"),
+        **_GRID,
+        "out": (str, "soliton.csv", None),
+    }),
+    "eigen": ("find a Lax eigenvalue near a complex guess", _cmd_eigen, {
+        "field": (str, None, "input field snapshot CSV"),
+        "guess_re": (float, None, None),
+        "guess_im": (float, None, None),
+        "out_json": (str, "eigen.json", None),
+        "out_eigenvector": (str, "eigenvector.csv", None),
+    }),
+    "backlund": ("apply the auto-Backlund transformation", _cmd_backlund, {
+        "field": (str, None, "input field snapshot CSV"),
+        "eigenvector": (str, None, "Lax vector CSV (down direction)"),
+        "lambda_re": (float, None, None),
+        "lambda_im": (float, None, None),
+        "direction": (("down", "up"), "down", None),
+        "a": (float, 0.0, None),
+        "theta": (float, 0.0, None),
+        "t": (float, 0.0, None),
+        "out": (str, None, None),
+    }),
+    "evolve": ("time-integrate a field snapshot", _cmd_evolve, {
+        "field": (str, None, None),
+        "dt": (float, None, "time step; must equal the grid dx"),
+        "t_end": (float, None, None),
+        "stride": (int, 64, "snapshot every this many steps"),
+        "out_prefix": (str, "evolve_", None),
+    }),
+    "stability": ("orbital-stability experiment / sweep", _cmd_stability, {
+        "gamma0": (float, None, None),
+        "epsilon": ([float], None, "perturbation size; repeat (or comma-separate) for a sweep"),
+        "seed": (int, ExperimentConfig.perturbation_seed, None),
+        "t_end": (float, ExperimentConfig.t_end, None),
+        "pipeline": (PIPELINES, ExperimentConfig.pipeline, None),
+        "shape": (PERTURBATION_SHAPES, ExperimentConfig.perturbation_shape, None),
+        **_GRID,
+        "out_dir": (str, "stability_run", None),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -376,78 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "(angles in radians).")
     ap.add_argument("--version", action="version", version=f"mtmlab {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
+    for name, (help_, _, table) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="flat key=value config file (flags override)")
-
-    sp = sub.add_parser("soliton", help="sample a soliton orbit point to CSV")
-    add_common(sp)
-    sp.add_argument("--gamma", type=float, help="width angle in (0, pi), radians")
-    sp.add_argument("--delta", type=float, help="boost parameter |lambda| (default 1)")
-    sp.add_argument("--lambda-re", type=float, dest="lambda_re")
-    sp.add_argument("--lambda-im", type=float, dest="lambda_im")
-    sp.add_argument("--a", type=float, help="spatial shift")
-    sp.add_argument("--theta", type=float, help="gauge phase")
-    sp.add_argument("--t", type=float, help="sample time")
-    sp.add_argument("--grid-l", type=float, dest="grid_l")
-    sp.add_argument("--grid-n", type=int, dest="grid_n")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_soliton)
-
-    sp = sub.add_parser("eigen", help="find a Lax eigenvalue near a complex guess")
-    add_common(sp)
-    sp.add_argument("--field", help="input field snapshot CSV")
-    sp.add_argument("--guess-re", type=float, dest="guess_re")
-    sp.add_argument("--guess-im", type=float, dest="guess_im")
-    sp.add_argument("--out-json", dest="out_json")
-    sp.add_argument("--out-eigenvector", dest="out_eigenvector")
-    sp.set_defaults(func=_cmd_eigen)
-
-    sp = sub.add_parser("backlund", help="apply the auto-Backlund transformation")
-    add_common(sp)
-    sp.add_argument("--field", help="input field snapshot CSV")
-    sp.add_argument("--eigenvector", help="Lax vector CSV (down direction)")
-    sp.add_argument("--lambda-re", type=float, dest="lambda_re")
-    sp.add_argument("--lambda-im", type=float, dest="lambda_im")
-    sp.add_argument("--direction", choices=("down", "up"))
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_backlund)
-
-    sp = sub.add_parser("evolve", help="time-integrate a field snapshot")
-    add_common(sp)
-    sp.add_argument("--field")
-    sp.add_argument("--dt", type=float, help="time step; must equal the grid dx")
-    sp.add_argument("--t-end", type=float, dest="t_end")
-    sp.add_argument("--stride", type=int, help="snapshot every this many steps")
-    sp.add_argument("--out-prefix", dest="out_prefix")
-    sp.set_defaults(func=_cmd_evolve)
-
-    sp = sub.add_parser("stability", help="orbital-stability experiment / sweep")
-    add_common(sp)
-    sp.add_argument("--gamma0", type=float)
-    sp.add_argument("--epsilon", action="append",
-                    help="perturbation size; repeat (or comma-separate) for a sweep")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--t-end", type=float, dest="t_end")
-    sp.add_argument("--pipeline", choices=("direct", "backlund", "both"))
-    sp.add_argument("--shape", choices=("gaussian_bump", "random_fourier"))
-    sp.add_argument("--grid-l", type=float, dest="grid_l")
-    sp.add_argument("--grid-n", type=int, dest="grid_n")
-    sp.add_argument("--out-dir", dest="out_dir")
-    sp.set_defaults(func=_cmd_stability)
+        for key, (kind, _, flag_help) in table.items():
+            if isinstance(kind, list):
+                sp.add_argument(_flag(key), action="append", help=flag_help)
+            elif isinstance(kind, tuple):
+                sp.add_argument(_flag(key), choices=kind, help=flag_help)
+            else:
+                sp.add_argument(_flag(key), type=kind, help=flag_help)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "epsilon", None) is not None:
-        args.epsilon = ",".join(args.epsilon)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.subcommand][1](args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

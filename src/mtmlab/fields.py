@@ -73,13 +73,17 @@ class Grid:
         return cls(-half_width, half_width, n)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the C-contiguous complex128 array a is finite (one pass)."""
+    return bool(np.all(np.isfinite(a.view(np.float64))))
+
+
 def _prepare(grid: Grid, arr, name: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.complex128)
+    a = np.array(arr, dtype=np.complex128)
     if a.shape != (grid.n,):
         raise FieldValidationError(f"{name} must have shape ({grid.n},), got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not all_finite(a):
         raise FieldValidationError(f"{name} contains non-finite samples")
-    a = a.copy()
     a.setflags(write=False)
     return a
 

@@ -37,6 +37,7 @@ from .fields import (
     CellSampler,
     Grid,
     SpinorField,
+    all_finite,
     inner_product,
     integrate,
     l2_norm,
@@ -207,7 +208,7 @@ def _scan_end(levels, w0) -> np.ndarray:
 
 def _require_finite(w: np.ndarray) -> np.ndarray:
     """w itself; IntegrationError if any entry is non-finite."""
-    if not np.all(np.isfinite(w.view(np.float64))):
+    if not all_finite(w):
         raise IntegrationError("Jost integration produced non-finite values")
     return w
 

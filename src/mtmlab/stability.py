@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -323,25 +323,18 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
     never converges.  The number of up map evaluations is appended to
     `evaluations` when it is given.
     """
-    # only the two newest points are kept: each holds several field-sized
-    # arrays, and dogleg asks for derivatives right after a point's value
-    points: dict[bytes, _FitPoint | None] = {}
-    evaluated = 0
+    # only two points are kept: each holds several field-sized arrays, and
+    # dogleg asks for derivatives right after a point's value
+    @lru_cache(maxsize=2)
+    def evaluate(key: bytes) -> _FitPoint | None:
+        try:
+            rec, tangents = up_map_tangents(pq_t, jost, lam, *np.frombuffer(key))
+        except MtmError:
+            return None
+        return _FitPoint(rec, target, tangents)
 
     def point(x) -> _FitPoint | None:
-        nonlocal evaluated
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in points:
-            if len(points) == 2:
-                del points[next(iter(points))]
-            evaluated += 1
-            try:
-                rec, tangents = up_map_tangents(pq_t, jost, lam, *x)
-            except MtmError:
-                points[key] = None
-            else:
-                points[key] = _FitPoint(rec, target, tangents)
-        return points[key]
+        return evaluate(np.asarray(x, dtype=float).tobytes())
 
     def fun(x) -> float:
         p = point(x)
@@ -377,7 +370,7 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
         opt = fit(opt.x)
         ok = converged(opt)
     if evaluations is not None:
-        evaluations.append(evaluated)
+        evaluations.append(evaluate.cache_info().misses)
     return float(opt.fun), *opt.x, ok
 
 

@@ -10,6 +10,7 @@ import pytest
 from mtmlab.cli import file_digest, load_config, main
 from mtmlab.fields import Grid, SpinorField, l2_norm_sq, read_field_csv, write_field_csv
 from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS
+from mtmlab.solitons import SpectralParameter, soliton_field
 
 from helpers import read_manifest
 
@@ -32,6 +33,24 @@ def test_soliton_subcommand(tmp_path):
     assert man.subcommand == "soliton"
     assert man.timings == {}
     assert man.outputs[str(out)] == file_digest(str(out))
+
+
+@pytest.mark.parametrize("args,lam", [
+    (["--lambda-re", "0.8", "--lambda-im", "0.8"], complex(0.8, 0.8)),
+    (["--gamma", "1.2", "--delta", "1.25"], 1.25 * np.exp(0.6j)),
+], ids=["lambda", "boosted"])
+def test_soliton_from_lambda_or_boost(tmp_path, args, lam):
+    """Given lambda, or gamma and delta != 1, the soliton of lambda = delta e^{i gamma/2}."""
+    out = tmp_path / "s.csv"
+    assert run(["soliton", *args, "--grid-n", "1024", "--out", str(out)]) == 0
+    f = read_field_csv(str(out))
+    p = SpectralParameter(lam)
+    ref = soliton_field(p, 0.0, Grid.symmetric(30.0, 1024))
+    assert np.max(np.abs(f.u - ref.u)) < 1e-14     # 4.6e-16 measured
+    assert np.max(np.abs(f.v - ref.v)) < 1e-14
+    params = read_manifest(f"{out}.manifest.json").parameters
+    assert params["gamma"] == pytest.approx(p.gamma, abs=1e-15)
+    assert params["delta"] == pytest.approx(p.delta, abs=1e-15)
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
@@ -179,6 +198,46 @@ def test_empty_epsilon_list_is_usage_error(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command,line", [
+    ("stability", "grid-n = 12.5"),
+    ("stability", "seed = 1.5"),
+    ("stability", "pipeline = Both"),
+    ("stability", "shape = bump"),
+    ("backlund", "direction = sideways"),
+])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, line):
+    """A config value is checked as its flag is: exit 2 naming the key and the file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = {"stability": ["--gamma0", str(GAMMA), "--epsilon", "0.01", "--out-dir", str(out)],
+            "backlund": ["--field", str(tmp_path / "s.csv"), "--lambda-re", "0.7",
+                         "--lambda-im", "0.7", "--out", str(out)]}[command]
+    assert run([command, "--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    key, value = (part.strip() for part in line.split("="))
+    assert err.startswith(f"usage error: --{key}: invalid ")
+    assert repr(value) in err and err.endswith(f" in config file {cfg}\n")
+    assert not out.exists()
+
+
+def test_epsilon_that_is_not_a_number_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01",
+                "--epsilon", "abc", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: --epsilon: invalid float value: 'abc'\n"
+    assert not out_dir.exists()
+
+
+def test_rejected_experiment_leaves_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    code = run(["stability", "--gamma0", "4", "--epsilon", "0.01", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "error: ParameterError: gamma must lie in (0, pi)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _IMPORT_PROBE = textwrap.dedent('''
@@ -281,6 +340,22 @@ def test_stability_sweep_csvs(tmp_path):
     assert len(summary) == 3
     assert [row.split(",")[-1] for row in summary[1:]] == ["0", "0"]
     assert (out_dir / "records_eps0p01.csv").exists()
+
+
+def test_stability_sweep_reports_a_failed_epsilon(tmp_path, capsys):
+    """A failed epsilon is a stderr line, a `failed:` row and exit 1; the rest still run."""
+    out_dir = tmp_path / "sweepdir"
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,-0.01",
+                "--t-end", "1", "--pipeline", "direct", "--grid-n", "1024",
+                "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stability: eps=-0.01 failed: epsilon must be finite and nonnegative" in err
+    rows = [row.split(",") for row in (out_dir / "summary.csv").read_text().split("\n")[1:-1]]
+    assert [row[:2] for row in rows] == [
+        ["0.01", "ok"], ["-0.01", "failed: epsilon must be finite and nonnegative; got -0.01"]]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "manifest.json", "records_eps0p01.csv", "summary.csv"]
 
 
 def test_field_read_error_exit_code(tmp_path):

@@ -253,6 +253,16 @@ def test_csv_writer_redraws_a_taken_temporary_name(tmp_path, grid_small, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "tmp00000000.tmp"]
 
 
+def test_failed_write_removes_its_temporary_file(tmp_path, grid_small):
+    """The rename onto a directory fails; the temporary file beside it is removed."""
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_field_csv(SpinorField.zero(grid_small), str(target))
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not any(target.iterdir())
+
+
 def test_csv_header_check(tmp_path, grid):
     path = tmp_path / "v.csv"
     write_lax_csv(soliton_eigenvector(np.pi / 3, 0.0, grid), str(path))

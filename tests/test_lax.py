@@ -387,6 +387,26 @@ def test_find_eigenvalue_zero_field_fails(grid):
         find_eigenvalue(SpinorField.zero(grid), LAM0)
 
 
+def test_find_eigenvalue_fails_when_the_secant_leaves_the_guess(grid_small):
+    """A guess far from the gamma = pi/8 eigenvalue e^{i pi/16} sends the secant away."""
+    f = stationary_soliton(np.pi / 8, 0.0, 0.0, 0.0, grid_small)
+    with pytest.raises(NoEigenvalueError, match="left the guess neighborhood"):
+        find_eigenvalue(f, np.exp(0.375j * np.pi))
+
+
+def test_find_eigenvalue_fails_without_convergence(grid_small, monkeypatch):
+    monkeypatch.setattr(lax, "MAX_SECANT_ITERATIONS", 1)
+    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid_small)
+    with pytest.raises(NoEigenvalueError, match="no convergence in 1 iterations"):
+        find_eigenvalue(f, 1.05 * LAM0)
+
+
+def test_time_bvp_rejects_lambda_outside_the_first_quadrant(grid_small):
+    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid_small)
+    with pytest.raises(ParameterError, match="require arg"):
+        solve_time_bvp(f, np.conj(LAM0), 0.0)
+
+
 # -- explicit kernel machinery ------------------------------------------------
 
 def test_null_vector_point_values(grid):
