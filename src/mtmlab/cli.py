@@ -157,6 +157,9 @@ class _Params:
     def __init__(self, args: argparse.Namespace):
         self._args = args
         self._config = load_config(args.config) if args.config else {}
+        for key in self._config:
+            if key not in _COMMANDS[args.subcommand][2]:
+                raise SystemExit2(f"unknown key {key!r} in config file {args.config}")
         self.resolved: dict = {}
 
     def value(self, key: str, required: bool = False):
@@ -322,6 +325,9 @@ def _cmd_stability(args) -> int:
     epsilons = p.value("epsilon", required=True)
     if not epsilons:
         raise SystemExit2("--epsilon lists no value")
+    for i, eps in enumerate(epsilons):
+        if eps in epsilons[:i]:     # the runs would share one records file
+            raise SystemExit2(f"--epsilon lists {eps!r} twice")
     # built before the directory, so that a rejected parameter leaves none behind
     cfg = ExperimentConfig(gamma0=gamma0, epsilon=epsilons[0],
                            perturbation_seed=p.value("seed"), t_end=p.value("t_end"),
@@ -348,7 +354,9 @@ def _cmd_stability(args) -> int:
                   f"fit evaluations={res.fit_evaluations} "
                   f"|E|={res.evans_residual:.2e} max dist={row.max_dist:.4e}")
         else:
-            tag = ("%g" % row.epsilon).replace(".", "p").replace("-", "m")
+            tag = "%g" % row.epsilon    # repr where %g would merge two epsilons
+            tag = tag if float(tag) == row.epsilon else repr(row.epsilon)
+            tag = tag.replace(".", "p").replace("-", "m")
             rec_path = os.path.join(out_dir, f"records_eps{tag}.csv")
         _atomic_write(rec_path, format_records_csv(res.records).encode())
         outputs.append(rec_path)

@@ -3,8 +3,10 @@
 The pipeline mirrors the three-arrow diagram: map a perturbed soliton down
 to a small field at t = 0 through its Lax eigenvector, ride the conserved
 L2 norm of the small field through time, and map back up into the soliton
-neighborhood at each sample time.  The measured quantity is the modulated
-distance ||u - e^{-i theta*} u_lam(.-a*)|| + ||v - e^{-i theta*} v_lam(.-a*)||,
+neighborhood at each sample time.  `run_experiment` walks the sample times
+once, in order, and measures the fields as it reaches each of them.  The
+measured quantity is the modulated distance
+||u - e^{-i theta*} u_lam(.-a*)|| + ||v - e^{-i theta*} v_lam(.-a*)||,
 where a* minimizes this norm-sum over the shift and theta* =
 arg(<u, u_lam(.-a*)> + <v, v_lam(.-a*)>) is the phase that minimizes the
 squared sum ||du||^2 + ||dv||^2 at that shift.  It is recorded alongside
@@ -53,7 +55,7 @@ class ExperimentConfig:
     perturbation_shape: str = "gaussian_bump"
     grid: Grid = field(default_factory=Grid.symmetric)
     t_end: float = 20.0
-    times: tuple[float, ...] | None = None   # defaults to every 2 time units
+    times: tuple[float, ...] | None = None   # nondecreasing; default every 2 time units
     pipeline: str = "both"
 
     def __post_init__(self):
@@ -72,6 +74,8 @@ class ExperimentConfig:
             if not all(math.isfinite(t) and t >= 0 for t in self.times):
                 raise ParameterError(
                     f"sample times must be finite and nonnegative, got {self.times}")
+            if any(b < a for a, b in zip(self.times, self.times[1:])):
+                raise ParameterError(f"sample times must not decrease, got {self.times}")
 
     def sample_times(self) -> tuple[float, ...]:
         if self.times is not None:
@@ -236,23 +240,6 @@ def make_perturbed_initial(cfg: ExperimentConfig) -> SpinorField:
 # experiment engine
 # ---------------------------------------------------------------------------
 
-def _capture_samples(f0: SpinorField, step_indices: set[int]) -> dict[int, SpinorField]:
-    """Evolve f0 and keep snapshots at the requested step indices (f0 itself at 0).
-
-    Each gap between consecutive indices is one `evolve` call, so one merged
-    Strang segment.
-    """
-    dx = f0.grid.dx
-    captured: dict[int, SpinorField] = {}
-    k_prev, f = 0, f0
-    for k in sorted(step_indices):
-        if k > k_prev:
-            f = evolve(f, EvolutionConfig(dt=dx, t_end=(k - k_prev) * dx))
-            k_prev = k
-        captured[k] = f
-    return captured
-
-
 #: the reconstruction fit stops when its gradient norm falls below FIT_GTOL; a
 #: fit that stops otherwise still counts as converged when its Gauss-Newton
 #: step is at most FIT_STEP_TOL
@@ -375,49 +362,48 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured pipeline(s) and collect one record per sample time."""
-    grid = cfg.grid
-    dx = grid.dx
+    """Run the configured pipeline(s), measuring each sample time as it is reached.
+
+    Sample times snap to steps k*dx.  Each field crosses the gap to the next
+    sample step in one `evolve` call, one merged Strang segment; a repeated
+    step measures the same fields again.
+    """
+    dx = cfg.grid.dx
     f0 = make_perturbed_initial(cfg)
-    sol0 = stationary_soliton(cfg.gamma0, 0.0, 0.0, 0.0, grid)
+    sol0 = stationary_soliton(cfg.gamma0, 0.0, 0.0, 0.0, cfg.grid)
     eps_measured = combined_l2_distance(f0, sol0)
 
     eig = find_eigenvalue(f0, np.exp(0.5j * cfg.gamma0))
     lam = eig.lam
     p = SpectralParameter(lam)
 
-    times = cfg.sample_times()
-    idx = [int(round(t / dx)) for t in times]
-    snapped = [k * dx for k in idx]
-    want = set(idx)
-
     do_direct = cfg.pipeline in ("direct", "both")
     do_back = cfg.pipeline in ("backlund", "both")
 
-    direct_fields = _capture_samples(f0, want) if do_direct else {}
-
-    pq_fields: dict[int, SpinorField] = {}
-    pq0_norm = float("nan")
+    f_t, pq_t, pq0_norm = f0, None, float("nan")
     if do_back:
-        pq0 = down_map(f0, eig)
-        pq0_norm = l2_norm(pq0)
-        pq_fields = _capture_samples(pq0, want)
+        pq_t = down_map(f0, eig)
+        pq0_norm = l2_norm(pq_t)
 
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
     not_converged = 0
     fit_evaluations: list[int] = []
-    for k, t in zip(idx, snapped):
-        fit = None
-        chg = float("nan")
-        small = float("nan")
-        cross = float("nan")
+    k_prev = 0
+    for k in (int(round(t / dx)) for t in cfg.sample_times()):
+        if k > k_prev:
+            gap = EvolutionConfig(dt=dx, t_end=(k - k_prev) * dx)
+            if do_direct:
+                f_t = evolve(f_t, gap)
+            if do_back:
+                pq_t = evolve(pq_t, gap)
+            k_prev = k
+        t = k * dx
+        chg = small = cross = float("nan")
         if do_direct:
-            f_t = direct_fields[k]
             chg = charge(f_t)
             fit = modulated_distance(f_t, p, t)
         if do_back:
-            pq_t = pq_fields[k]
             small = l2_norm(pq_t)
             jost = solve_time_bvp(pq_t, lam, t)
             if do_direct:

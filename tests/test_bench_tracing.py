@@ -4,7 +4,7 @@ import importlib
 
 import numpy as np
 
-from mtmlab import cli, lax
+from mtmlab import cli, lax, stability
 from mtmlab.fields import Grid, write_field_csv
 from mtmlab.solitons import stationary_soliton
 
@@ -68,3 +68,27 @@ def test_evolve_spans_see_every_snapshot(tmp_path):
     assert totals["fields.write_csv"]["calls"] == len(snapshots)
     assert totals["evolution.evolve"]["calls"] == 1
     assert totals["fields.read_csv"]["calls"] == 1
+
+
+def test_stability_spans_see_every_sample():
+    """run_experiment reaches the engine through the stability module's patched names.
+
+    Each gap between sample steps is one evolve call per pipeline; each
+    sample, a repeated one too, is one distance, one time BVP and one fit.
+    """
+    tracing = load_bench_module("tracing")
+    times = (0.0, 0.5, 0.5, 1.0)
+    cfg = stability.ExperimentConfig(gamma0=np.pi / 2, epsilon=0.01, t_end=1.0, times=times,
+                                     grid=Grid.symmetric(30.0, 512))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        res = stability.run_experiment(cfg)
+    finally:
+        restore()
+    assert res.fits_not_converged == 0      # so no fit was restarted
+    totals = tracer.totals()
+    assert totals["evolution.evolve"]["calls"] == 2 * 2     # two gaps, two pipelines
+    for name in ("stability.modulated_distance", "lax.solve_time_bvp", "stability.fit"):
+        assert totals[name]["calls"] == len(times), name
+    assert totals["lax.find_eigenvalue"]["calls"] == 1

@@ -221,6 +221,19 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    """A mistyped key is not skipped: exit 2 naming the key and the file, nothing written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pipelin = direct\n")
+    out_dir = tmp_path / "exp"
+    code = run(["stability", "--config", str(cfg), "--gamma0", str(GAMMA),
+                "--epsilon", "0.01", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: unknown key 'pipelin' in config file {cfg}\n")
+    assert not out_dir.exists()
+
+
 def test_epsilon_that_is_not_a_number_is_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01",
@@ -340,6 +353,32 @@ def test_stability_sweep_csvs(tmp_path):
     assert len(summary) == 3
     assert [row.split(",")[-1] for row in summary[1:]] == ["0", "0"]
     assert (out_dir / "records_eps0p01.csv").exists()
+
+
+def test_sweep_record_files_keep_every_epsilon_apart(tmp_path):
+    """%g names an epsilon it round-trips; repr names the rest, so no run overwrites another."""
+    out_dir = tmp_path / "sweepdir"
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,0.01000001,1e-5,0",
+                "--t-end", "1", "--pipeline", "direct", "--grid-n", "512",
+                "--out-dir", str(out_dir)])
+    assert code == 0
+    names = ["records_eps0p01.csv", "records_eps0p01000001.csv",
+             "records_eps1em05.csv", "records_eps0.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        names + ["manifest.json", "summary.csv"])
+    man = read_manifest(out_dir / "manifest.json")
+    assert sorted(os.path.basename(p) for p in man.outputs) == sorted(names + ["summary.csv"])
+    first, second = (np.loadtxt(out_dir / n, delimiter=",", skiprows=1) for n in names[:2])
+    assert not np.array_equal(first, second)
+
+
+def test_repeated_epsilon_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "sweepdir"
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,0.1",
+                "--epsilon", "1e-2", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: --epsilon lists 0.01 twice\n"
+    assert not out_dir.exists()
 
 
 def test_stability_sweep_reports_a_failed_epsilon(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_config_validation(grid):
         ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, t_end=float("inf"))
     with pytest.raises(ParameterError):
         ExperimentConfig(gamma0=GAMMA0, epsilon=float("nan"))
-    for times in ((), (0.0, -2.0), (0.0, float("nan"))):
+    for times in ((), (0.0, -2.0), (0.0, float("nan")), (0.0, 2.0, 1.0)):
         with pytest.raises(ParameterError):
             ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, times=times)
 
@@ -261,6 +261,12 @@ def test_backlund_only_pipeline():
     assert len(recs) == 2
     assert all(np.isfinite(r.small_norm) for r in recs)
     assert all(r.dist < 0.1 for r in recs)
+
+
+def test_repeated_sample_time_repeats_its_record():
+    res = run_experiment(short_config(grid=Grid.symmetric(30.0, 512), times=(0.0, 0.5, 0.5)))
+    assert res.records[1] == res.records[2] and res.cross_l2[1] == res.cross_l2[2]
+    assert res.records[0] != res.records[1]
 
 
 def test_epsilon_zero_reference():
