@@ -156,7 +156,10 @@ class _Params:
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
-        self._config = load_config(args.config) if args.config else {}
+        try:
+            self._config = load_config(args.config) if args.config else {}
+        except ValueError as exc:       # a line without '='
+            raise SystemExit2(str(exc)) from None
         for key in self._config:
             if key not in _COMMANDS[args.subcommand][2]:
                 raise SystemExit2(f"unknown key {key!r} in config file {args.config}")

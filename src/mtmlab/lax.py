@@ -5,10 +5,12 @@ gauge-transformed frame that removes the (i/4)(|u|^2-|v|^2) sigma3 term and
 the constant diagonal exponent, so the reduced unknowns stay O(1) and each
 one-sided solution is integrated in its numerically stable direction.  The
 gauge exponentials depend on the field alone and are computed once per
-field; per lambda, one RK4 transfer matrix per cell is built on flat entry
-arrays, and the solution is carried through the transfers by a tree scan:
-pairwise products up a balanced tree, then the vector down it, about ncell
-2x2 products and ncell matrix-vector products per side.  An eigenvalue
+field; per lambda and side, one RK4 transfer matrix per cell is built on
+flat entry arrays, in the order the side's scan meets them (the left side
+forward from x_min, the right side backward from the right edge), and the
+solution is carried through the transfers by a tree scan: pairwise
+products up a balanced tree, then the vector down it, about ncell 2x2
+products and ncell matrix-vector products per side.  An eigenvalue
 exists exactly when the two one-sided (Jost) solutions are collinear; the
 Evans function measures that at the matching point j0 and a complex secant
 iteration finds its roots.  The Evans function scans each side over its
@@ -213,30 +215,17 @@ def _require_finite(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _propagate(transfers, w0, forward: bool) -> np.ndarray:
-    """Carry w0 through the per-cell transfers; returns (2, ncell+1).
-
-    Forward, w_{j+1} = T_j w_j from w_0 = w0; backward, w_j = T_j w_{j+1}
-    from w_ncell = w0.  A work-efficient tree scan: the transfers, in the
-    order the vector meets them, are multiplied pairwise, one level per
-    halving, and the down-sweep then carries the vector from the start of
-    each block to the start of its second half.  That is about ncell 2x2
-    products and ncell matrix-vector products.
-    """
-    scan = transfers if forward else [e[::-1] for e in transfers]
-    out = _require_finite(_down_sweep(_up_sweep(scan), w0))
-    return out if forward else out[:, ::-1]
-
-
 class _JostWorkspace:
     """Per-field precomputation shared by repeated lambda solves.
 
     Each cell is crossed by one RK4 step, so the field and the gauge
     exponentials are needed at the cell start, midpoint and end (node
     arrays of shape (3, ncell)).  j0 is the matching point, the grid point
-    nearest x = 0.  `_brackets` memoizes the lambda brackets of the latest
-    lambda, which both sides share, and `_halves` the half-line tree levels
-    of the latest lambda the Evans function was evaluated at.
+    nearest x = 0.  `_levels` builds one side's transfers over a run of
+    cells, in the order that side's scan meets them, and multiplies them up
+    the tree; the whole-line `reduced` and the half-line scans both start
+    there.  `_halves` memoizes the half-line tree levels of the latest
+    lambda the Evans function was evaluated at.
     """
 
     def __init__(self, f: SpinorField):
@@ -246,7 +235,6 @@ class _JostWorkspace:
         taus = (0.0, 0.5, 1.0)
         self.u_nodes = cs.values(f.u, taus).T.copy()
         self.v_nodes = cs.values(f.v, taus).T.copy()
-        self._brackets: tuple[complex, np.ndarray, np.ndarray] | None = None
         self._halves: tuple | None = None
         acc = gauge_transform(f)                           # (n,) at grid nodes
         acc_nodes = (acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)).T
@@ -259,15 +247,17 @@ class _JostWorkspace:
 
     def reduced(self, lam: complex, side: str) -> np.ndarray:
         """Reduced Jost trajectory (2, n) for the requested side."""
-        transfers, init = self._transfers(lam, side, slice(None))
-        return _propagate(transfers, init, side == "left")
+        w = _require_finite(_down_sweep(*self._levels(lam, side, slice(None))))
+        return w if side == "left" else w[:, ::-1]
 
-    def _transfers(self, lam: complex, side: str, cells: slice):
-        """The side's RK4 transfers over `cells` in cell order, and its init.
+    def _levels(self, lam: complex, side: str, cells: slice):
+        """Up-sweep levels of the side's RK4 transfers over `cells`, and its init.
 
         side='left': factor exp(-x k1) off the solution recessive at -inf,
-        gauge accumulated from the left edge, init (0, 1).
-        side='right': factor exp(+x k1), gauge from the right edge, init (1, 0).
+        gauge accumulated from the left edge, init (0, 1); the scan runs
+        forward, in cell order.
+        side='right': factor exp(+x k1), gauge from the right edge, init
+        (1, 0); the scan runs backward, so its transfers are reversed.
         Orientation with Re k1 > 0 swaps the factored envelopes.  The gauge
         frame's off-diagonal entries are p = (i/2)(conj(u)/lam - conj(v) lam) e
         and q = (i/2)(u/lam - v lam)/e, with e the chosen edge's node factor.
@@ -277,9 +267,8 @@ class _JostWorkspace:
         k1 = SpectralParameter(lam).k1
         forward = side == "left"
         e = (self.e_left if forward else self.e_right)[:, cells]
-        bp, bq = self._lambda_brackets(lam)
-        p = bp[:, cells] * e
-        q = bq[:, cells] / e
+        a12, a21 = _l_off_diagonal(self.u_nodes[:, cells], self.v_nodes[:, cells], lam)
+        p, q = a12 * e, a21 / e
         if forward != (k1.real > 0):
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
             d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
@@ -288,14 +277,9 @@ class _JostWorkspace:
             d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
         nodes = [(d0, p[j], q[j], d1) for j in range(3)]
         if forward:
-            return _rk4_transfer(*nodes, self.grid.dx), init
-        return _rk4_transfer(*nodes[::-1], -self.grid.dx), init
-
-    def _lambda_brackets(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-        """L's off-diagonal entries a12 and a21 at the nodes."""
-        if self._brackets is None or self._brackets[0] != lam:
-            self._brackets = (lam, *_l_off_diagonal(self.u_nodes, self.v_nodes, lam))
-        return self._brackets[1:]
+            return _up_sweep(_rk4_transfer(*nodes, self.grid.dx)), init
+        backward = _rk4_transfer(*nodes[::-1], -self.grid.dx)
+        return _up_sweep([t[::-1] for t in backward]), init
 
     def _half_levels(self, lam: complex):
         """Up-sweep levels and init of each side's scan toward j0.
@@ -305,10 +289,8 @@ class _JostWorkspace:
         lambda.
         """
         if self._halves is None or self._halves[0] != lam:
-            tl, il = self._transfers(lam, "left", slice(0, self.j0))
-            tr, ir = self._transfers(lam, "right", slice(self.j0, None))
-            self._halves = (lam, (_up_sweep(tl), il),
-                            (_up_sweep([e[::-1] for e in tr]), ir))
+            self._halves = (lam, self._levels(lam, "left", slice(0, self.j0)),
+                            self._levels(lam, "right", slice(self.j0, None)))
         return self._halves[1:]
 
     def original(self, lam: complex, side: str, w: np.ndarray, at: slice):
@@ -511,10 +493,7 @@ def project_P(gamma: float, v: SpinorField) -> SpinorField:
 
 def project_P_hat(gamma: float, v: SpinorField) -> SpinorField:
     """Conjugated projection s3 P s3: removes the eta-component of v."""
-    phi, eta, _ = null_vectors(gamma, v.grid)
-    s3phi = _sigma3(phi)
-    coef = inner_product(eta, v) / inner_product(_sigma3(eta), phi)
-    return SpinorField(v.grid, v.u - coef * s3phi.u, v.v - coef * s3phi.v)
+    return _sigma3(project_P(gamma, _sigma3(v)))
 
 
 def resolvent_solve(gamma: float, f: SpinorField) -> SpinorField:

@@ -74,7 +74,8 @@ def test_stability_spans_see_every_sample():
     """run_experiment reaches the engine through the stability module's patched names.
 
     Each gap between sample steps is one evolve call per pipeline; each
-    sample, a repeated one too, is one distance, one time BVP and one fit.
+    sample, a repeated one too, is one distance, one time BVP (one Jost
+    solve) and one fit.
     """
     tracing = load_bench_module("tracing")
     times = (0.0, 0.5, 0.5, 1.0)
@@ -89,6 +90,7 @@ def test_stability_spans_see_every_sample():
     assert res.fits_not_converged == 0      # so no fit was restarted
     totals = tracer.totals()
     assert totals["evolution.evolve"]["calls"] == 2 * 2     # two gaps, two pipelines
-    for name in ("stability.modulated_distance", "lax.solve_time_bvp", "stability.fit"):
+    for name in ("stability.modulated_distance", "lax.solve_time_bvp", "lax.solve_jost",
+                 "stability.fit"):
         assert totals[name]["calls"] == len(times), name
     assert totals["lax.find_eigenvalue"]["calls"] == 1

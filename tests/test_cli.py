@@ -234,6 +234,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["soliton", "stability"])
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys, command):
+    """A malformed config line exits 2 like a bad value, naming file and line; nothing written."""
+    cfg = tmp_path / "garbage.cfg"
+    cfg.write_text("# header\ngamma 1.0\n")
+    out = tmp_path / "out"
+    argv = {"soliton": ["--out", str(out)],
+            "stability": ["--gamma0", str(GAMMA), "--epsilon", "0.01",
+                          "--out-dir", str(out)]}[command]
+    assert run([command, "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {cfg}:2: expected 'key = value', got 'gamma 1.0\\n'\n")
+    assert not out.exists()
+
+
 def test_epsilon_that_is_not_a_number_is_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01",

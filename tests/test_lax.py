@@ -189,39 +189,42 @@ def test_jost_matches_sequential_oracle(gamma, eps, monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 1000, 4097])
 def test_tree_scan_matches_sequential_propagation(n, monkeypatch):
-    """`_propagate` agrees with `propagate_sequential` on the kernel's own transfers.
+    """The whole-line tree scan agrees with `propagate_sequential` on the kernel's own transfers.
 
     The up-sweep leaves a trailing incomplete block out of each level:
     n = 8 and n = 1000 give 7 and 999 cells, odd on most levels, and
     n = 4097 gives 4096, an exact power of two, whose last vector is the
-    root block applied to w0.  The transfers of both sides (left forward,
-    right backward) in both envelope orientations are recorded and replayed through both scans, and the reduced
-    trajectories are compared on the whole line.  The background does not
-    vanish at the edges, so the last transfer moves the vector by O(dx)
-    and a wrong far-edge sample shows.
+    root block applied to w0.  The transfers each side's scan takes up
+    (left forward, right backward, so already reversed) in both envelope
+    orientations are recorded and replayed forward cell by cell, and the
+    reduced trajectories are compared on the whole line.  The background
+    does not vanish at the edges, so the last transfer moves the vector by
+    O(dx) and a wrong far-edge sample shows.
     """
     grid = Grid.symmetric(30.0, n)
     f = SpinorField(grid, 0.5 * np.exp(0.3j * grid.x), 0.4 * np.exp(-0.2j * grid.x) + 0.2)
     lams = [0.8 * LAM0, LAM0, 1.1 * np.exp(0.75j * np.pi)]
     assert SpectralParameter(lams[-1]).k1.real > 0      # swapped orientation
     calls = []
-    propagate = lax._propagate
+    up_sweep = lax._up_sweep
 
-    def recording(*args):
-        calls.append(args)
-        return propagate(*args)
+    def recording(transfers):
+        calls.append(transfers)
+        return up_sweep(transfers)
 
-    monkeypatch.setattr(lax, "_propagate", recording)
+    monkeypatch.setattr(lax, "_up_sweep", recording)
     ws = lax._JostWorkspace(f)
     for lam in lams:
-        ws.reduced(lam, "left")
-        ws.reduced(lam, "right")
-    assert sorted(forward for _, _, forward in calls) == [False] * 3 + [True] * 3
-    for transfers, w0, forward in calls:
-        got = propagate(transfers, w0, forward)
-        stacked = np.moveaxis(np.reshape(transfers, (2, 2, n - 1)), -1, 0)
-        want = propagate_sequential(stacked, w0, forward).T
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        swapped = SpectralParameter(lam).k1.real > 0
+        for side in ("left", "right"):
+            calls.clear()
+            got = ws.reduced(lam, side)
+            (transfers,) = calls
+            scan = got if side == "left" else got[:, ::-1]
+            w0 = (0.0, 1.0) if (side == "left") != swapped else (1.0, 0.0)
+            stacked = np.moveaxis(np.reshape(transfers, (2, 2, n - 1)), -1, 0)
+            want = propagate_sequential(stacked, w0, forward=True).T
+            assert np.abs(scan - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_scan_end_is_the_down_sweep_at_the_end():
@@ -311,6 +314,33 @@ def test_non_finite_transfer_raises_integration_error(grid, soliton, side, cell,
         find_eigenvalue(soliton, LAM0)
     with pytest.raises(IntegrationError):
         lax._JostWorkspace(soliton).halves(LAM0)
+
+
+def test_transfers_are_built_once_per_side_and_lambda(soliton, monkeypatch):
+    """Each Evans value builds each half-line's transfers once; the eigenvector none.
+
+    The converged lambda's eigenvector reuses the last Evans value's trees,
+    and `solve_jost` builds one whole-line scan per side.
+    """
+    builds, lams = [], []
+    rk4, evans = lax._rk4_transfer, lax.evans_function
+
+    def counting_rk4(ma, mm, mb, h):
+        builds.append(h > 0)
+        return rk4(ma, mm, mb, h)
+
+    def counting_evans(f, lam, _workspace=None):
+        lams.append(lam)
+        return evans(f, lam, _workspace)
+
+    monkeypatch.setattr(lax, "_rk4_transfer", counting_rk4)
+    monkeypatch.setattr(lax, "evans_function", counting_evans)
+    res = find_eigenvalue(soliton, 1.05 * LAM0)
+    assert res.iterations > 2 and len(lams) == res.iterations + 1
+    assert sorted(builds) == [False] * len(lams) + [True] * len(lams)
+    builds.clear()
+    solve_jost(soliton, res.lam)
+    assert sorted(builds) == [False, True]
 
 
 def test_jost_edge_normalization(grid, soliton):

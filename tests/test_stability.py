@@ -217,6 +217,8 @@ def test_config_validation(grid):
     for times in ((), (0.0, -2.0), (0.0, float("nan")), (0.0, 2.0, 1.0)):
         with pytest.raises(ParameterError):
             ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, times=times)
+    with pytest.raises(ParameterError, match="must not exceed t_end"):
+        ExperimentConfig(gamma0=GAMMA0, epsilon=0.1, t_end=1.0, times=(0.0, 5.0))
 
 
 # -- pipelines --------------------------------------------------------------------
