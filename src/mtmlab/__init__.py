@@ -39,7 +39,6 @@ from .lax import (  # noqa: F401
     solve_time_bvp,
 )
 from .backlund import (  # noqa: F401
-    RiccatiField,
     backlund_transform,
     down_map,
     pushforward_eigenvector,

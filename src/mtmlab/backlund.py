@@ -12,12 +12,11 @@ small field back into the soliton neighborhood.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVectorError, GridMismatchError
-from .fields import Grid, SpinorField, d_dx, integrate
+from .fields import SpinorField, d_dx, integrate
 from .lax import EigenResult, JostPair, assemble_L
 from .solitons import SpectralParameter, require_gamma
 
@@ -26,14 +25,15 @@ from .solitons import SpectralParameter, require_gamma
 DEGENERATE_FLOOR = 1e-280
 
 
-def _squared_moduli(phi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
-    """|phi1|^2 and |phi2|^2, refusing a Lax vector that vanishes at a sample."""
+def _denominator(phi: SpinorField, gamma: float) -> tuple[complex, np.ndarray]:
+    """(half, dp) = (e^{i g/2}, half|phi1|^2 + conj(half)|phi2|^2) unless phi vanishes."""
     p1 = np.abs(phi.u) ** 2
     p2 = np.abs(phi.v) ** 2
     if (p1 + p2).min() < DEGENERATE_FLOOR:
         raise DegenerateVectorError(
             "Lax vector (numerically) vanishes at a grid sample; refusing to divide")
-    return p1, p2
+    half = np.exp(0.5j * gamma)
+    return half, half * p1 + np.conj(half) * p2
 
 
 def _transform(f: SpinorField, phi: SpinorField, lam: complex):
@@ -46,9 +46,7 @@ def _transform(f: SpinorField, phi: SpinorField, lam: complex):
         raise GridMismatchError("field and Lax vector live on different grids")
     p = SpectralParameter(complex(lam))
     delta, gamma = p.delta, require_gamma(p.gamma)
-    p1, p2 = _squared_moduli(phi)
-    half = np.exp(0.5j * gamma)
-    dp = half * p1 + np.conj(half) * p2
+    half, dp = _denominator(phi, gamma)
     dm = np.conj(dp)
     cross = np.conj(phi.u) * phi.v
     s = np.sin(gamma)
@@ -72,11 +70,10 @@ def backlund_transform(f: SpinorField, phi: SpinorField, lam: complex) -> Spinor
 def pushforward_eigenvector(phi: SpinorField, gamma: float) -> SpinorField:
     """Lax vector attached to the transformed potential at the same lambda.
 
-    psi = (conj(phi2), conj(phi1)) / |e^{i g/2}|phi1|^2 + e^{-i g/2}|phi2|^2|.
+    psi = (conj(phi2), conj(phi1)) / |e^{i g/2}|phi1|^2 + e^{-i g/2}|phi2|^2|,
+    so its Riccati variable psi1/psi2 is the companion 1/conj(phi1/phi2).
     """
-    require_gamma(gamma)
-    p1, p2 = _squared_moduli(phi)
-    denom = np.abs(np.exp(0.5j * gamma) * p1 + np.exp(-0.5j * gamma) * p2)
+    denom = np.abs(_denominator(phi, require_gamma(gamma))[1])
     return SpinorField(phi.grid, np.conj(phi.v) / denom, np.conj(phi.u) / denom)
 
 
@@ -84,64 +81,47 @@ def pushforward_eigenvector(phi: SpinorField, gamma: float) -> SpinorField:
 # Riccati variable
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RiccatiField:
-    """Gamma = phi1/phi2 pointwise, with an invalid mask where phi2 underflows."""
-
-    grid: Grid
-    gamma_var: np.ndarray
-    valid: np.ndarray
-
-    @classmethod
-    def from_lax_vector(cls, phi: SpinorField) -> "RiccatiField":
-        mod2 = np.abs(phi.v)
-        valid = mod2 >= 1e-300
-        ratio = np.divide(phi.u, phi.v,
-                          out=np.zeros(phi.grid.n, dtype=np.complex128), where=valid)
-        return cls(phi.grid, ratio, valid)
-
-    def reciprocal_conjugate(self) -> "RiccatiField":
-        """The Backlund-companion variable 1/conj(Gamma)."""
-        mod = np.abs(self.gamma_var)
-        valid = self.valid & (mod >= 1e-300)
-        inv = np.divide(1.0, np.conj(self.gamma_var),
-                        out=np.zeros(self.grid.n, dtype=np.complex128), where=valid)
-        return RiccatiField(self.grid, inv, valid)
+def _riccati_variable(phi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, valid): Gamma = phi1/phi2 where |phi2| >= 1e-300, 0 elsewhere."""
+    valid = np.abs(phi.v) >= 1e-300
+    gam = np.divide(phi.u, phi.v, out=np.zeros(phi.grid.n, dtype=np.complex128), where=valid)
+    return gam, valid
 
 
-def riccati_residual(g: RiccatiField, f: SpinorField, lam: complex) -> float:
+def riccati_residual(phi: SpinorField, f: SpinorField, lam: complex) -> float:
     """Scale-invariant L2 residual of the spatial Riccati equation.
 
-    Gamma solves Gamma_x = A Gamma + B + C Gamma^2, with A = 2 a11, B = a12
-    and C = -a21 from the spatial Lax operator `assemble_L`.  Where
+    The Lax vector's Riccati variable Gamma = phi1/phi2 solves Gamma_x =
+    A Gamma + B + C Gamma^2, with A = 2 a11, B = a12 and C = -a21 from the
+    spatial Lax operator `assemble_L`.  Where
     |Gamma| > 1 the stencil is taken on 1/Gamma instead, which solves
     (1/Gamma)_x = -A/Gamma - C - B/Gamma^2 and stays smooth through a pole
     of Gamma.  The raw residual of the variable used is divided by
     1 + |variable|^2 (the chordal metric on the Riemann sphere), which makes
     the check meaningful on the exponentially large/small tails, gives the
     same value for either variable, and is invariant under the Backlund
-    companion map Gamma -> 1/conj(Gamma).  The two samples on each boundary
-    (where no centered stencil exists) and invalid samples are excluded.
+    companion map Gamma -> 1/conj(Gamma) (that of `pushforward_eigenvector`).
+    The two samples on each boundary (no centered stencil) and every sample
+    whose stencil touches one with |phi2| < 1e-300 are excluded.
     """
-    if g.grid != f.grid:
-        raise GridMismatchError("Riccati field and background live on different grids")
+    if phi.grid != f.grid:
+        raise GridMismatchError("Lax vector and background live on different grids")
     op = assemble_L(f, lam)
     a, b, c = 2.0 * op.a11, op.a12, -op.a21
-    gam = g.gamma_var
+    gam, valid = _riccati_variable(phi)
     big = np.abs(gam) > 1.0
     inv = np.divide(1.0, gam, out=np.zeros_like(gam), where=gam != 0)
     w = np.where(big, inv, gam)
-    dw = np.where(big, d_dx(inv, g.grid), d_dx(gam, g.grid))
+    dw = np.where(big, d_dx(inv, phi.grid), d_dx(gam, phi.grid))
     rhs = np.where(big, -(a * w + c + b * w ** 2), a * w + b + c * w ** 2)
     resid = np.abs(dw - rhs) / (1.0 + np.abs(w) ** 2)
-    mask = g.valid.copy()
-    mask[:2] = False
-    mask[-2:] = False
+    mask = valid.copy()
+    mask[:2] = mask[-2:] = False
     # a 4th-order stencil touching an invalid sample is itself invalid
-    bad = ~g.valid
+    bad = ~valid
     for shift in (-2, -1, 1, 2):
         mask &= ~np.roll(bad, shift)
-    return float(np.sqrt(integrate(np.where(mask, resid ** 2, 0.0), g.grid).real))
+    return float(np.sqrt(integrate(np.where(mask, resid ** 2, 0.0), phi.grid).real))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +149,19 @@ def _superpose(f_t: SpinorField, jost: JostPair, a: float, theta: float):
     return c1, c2, phi
 
 
-def up_map(f_t: SpinorField, jost: JostPair, lam: complex, a: float, theta: float) -> SpinorField:
+def up_map(f_t: SpinorField, jost: JostPair, a: float, theta: float) -> SpinorField:
     """Map a small field at time t into the soliton neighborhood.
 
     Superposes the time-BVP Jost pair with coefficients c1 = e^{(a+i theta)/2},
-    c2 = 1/c1 and applies the Backlund transformation.  With (p, q) = 0 the
-    output is exactly the soliton with argument shift a and gauge phase
+    c2 = 1/c1 and applies the Backlund transformation at the pair's lambda,
+    jost.lam = delta e^{i g/2}.  With (p, q) = 0 the output is exactly the
+    soliton with argument shift a and gauge phase
     theta: u = i e^{-i theta} delta^{-1} sin(g) sech(alpha(x + nu t) - a - i g/2) e^{-i beta(t + nu x)}.
     """
-    return backlund_transform(f_t, _superpose(f_t, jost, a, theta)[2], lam)
+    return backlund_transform(f_t, _superpose(f_t, jost, a, theta)[2], jost.lam)
 
 
-def up_map_tangents(f_t: SpinorField, jost: JostPair, lam: complex, a: float, theta: float
+def up_map_tangents(f_t: SpinorField, jost: JostPair, a: float, theta: float
                     ) -> tuple[SpinorField, Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """up_map's field (bit-identical) and a function that returns its tangents.
 
@@ -197,7 +178,7 @@ def up_map_tangents(f_t: SpinorField, jost: JostPair, lam: complex, a: float, th
     and ddm = conj(half) d|phi1|^2 + half d|phi2|^2.
     """
     c1, c2, phi = _superpose(f_t, jost, a, theta)
-    out, half, dp, ku, kv = _transform(f_t, phi, lam)
+    out, half, dp, ku, kv = _transform(f_t, phi, jost.lam)
 
     def tangents() -> tuple[np.ndarray, np.ndarray]:
         d1 = c1 * jost.right.u - c2 * jost.left.u      # 2 dphi/dz

@@ -114,8 +114,8 @@ def _resolve_out(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    """Flat key-value config: one `key = value` per line, `#` comments."""
-    out: dict = {}
+    """Flat key-value config: one `key = value` per line, `#` comments, each key once."""
+    out, lines = {}, {}      # key -> value, key -> line number
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -124,7 +124,10 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ValueError(f"{path}:{ln}: key {key!r} repeats {path}:{lines[key]}")
+            out[key], lines[key] = val.strip(), ln
     return out
 
 
@@ -158,7 +161,7 @@ class _Params:
         self._args = args
         try:
             self._config = load_config(args.config) if args.config else {}
-        except ValueError as exc:       # a line without '='
+        except ValueError as exc:       # a line without '=', or a repeated key
             raise SystemExit2(str(exc)) from None
         for key in self._config:
             if key not in _COMMANDS[args.subcommand][2]:
@@ -270,7 +273,7 @@ def _cmd_backlund(args) -> int:
         theta = p.value("theta")
         t = p.value("t")
         jost = solve_time_bvp(f, lam, t)
-        g = up_map(f, jost, lam, a, theta)
+        g = up_map(f, jost, a, theta)
     t_write = time.perf_counter()
     write_field_csv(g, out)
     timings = {"read_s": t_backlund - t_read, "backlund_s": t_write - t_backlund,

@@ -294,29 +294,27 @@ class _FitPoint:
         return grad, hess
 
 
-def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorField,
-                        seed: tuple[float, float], evaluations: list[int] | None = None):
-    """Choose (a, theta) for the up map to best match the target field.
+def _fit_reconstruction(pq_t: SpinorField, jost, target: SpinorField, seed: tuple[float, float]):
+    """Choose (a, theta) for the up map of pq_t under jost to best match target.
 
     Minimizes the _FitPoint objective, the norm-sum that cross_l2 reports,
     by Powell's dogleg trust-region method.  Where up_map raises, the
     objective is FIT_PENALTY with zero gradient and unit Hessian, so a trial
     step there is rejected.
 
-    Returns (distance, a, theta, converged).  A fit converges when scipy
-    reports success or, since dogleg can stop at the rounding floor with a
-    model that no longer predicts a decrease, when the Gauss-Newton step at
-    the returned point is at most FIT_STEP_TOL.  An unconverged fit is
-    restarted once from where it stopped; a fit that ends on the penalty
-    never converges.  The number of up map evaluations is appended to
-    `evaluations` when it is given.
+    Returns (distance, a, theta, converged, evaluations), evaluations being
+    the number of up map calls.  A fit converges when scipy reports success
+    or, since dogleg can stop at the rounding floor with a model that no
+    longer predicts a decrease, when the Gauss-Newton step at the returned
+    point is at most FIT_STEP_TOL.  An unconverged fit is restarted once
+    from where it stopped; a fit that ends on the penalty never converges.
     """
     # only two points are kept: each holds several field-sized arrays, and
     # dogleg asks for derivatives right after a point's value
     @lru_cache(maxsize=2)
     def evaluate(key: bytes) -> _FitPoint | None:
         try:
-            rec, tangents = up_map_tangents(pq_t, jost, lam, *np.frombuffer(key))
+            rec, tangents = up_map_tangents(pq_t, jost, *np.frombuffer(key))
         except MtmError:
             return None
         return _FitPoint(rec, target, tangents)
@@ -357,9 +355,7 @@ def _fit_reconstruction(pq_t: SpinorField, jost, lam: complex, target: SpinorFie
     if not ok:
         opt = fit(opt.x)
         ok = converged(opt)
-    if evaluations is not None:
-        evaluations.append(evaluate.cache_info().misses)
-    return float(opt.fun), *opt.x, ok
+    return float(opt.fun), *opt.x, ok, evaluate.cache_info().misses
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -387,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
     not_converged = 0
-    fit_evaluations: list[int] = []
+    fit_evaluations = 0
     k_prev = 0
     for k in (int(round(t / dx)) for t in cfg.sample_times()):
         if k > k_prev:
@@ -410,11 +406,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 # then refine (a, theta) against the direct field itself
                 seed_a = p.alpha * fit.a_star
                 seed_th = fit.theta_star - p.beta * p.nu * fit.a_star
-                cross, _, _, converged = _fit_reconstruction(
-                    pq_t, jost, lam, f_t, (seed_a, seed_th), fit_evaluations)
+                cross, _, _, converged, evaluations = _fit_reconstruction(
+                    pq_t, jost, f_t, (seed_a, seed_th))
                 not_converged += not converged
+                fit_evaluations += evaluations
             else:
-                rec0 = up_map(pq_t, jost, lam, 0.0, 0.0)
+                rec0 = up_map(pq_t, jost, 0.0, 0.0)
                 chg = charge(rec0)
                 fit = modulated_distance(rec0, p, t)
         records.append(ExperimentRecord(t, chg, fit.dist, fit.a_star,
@@ -422,7 +419,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         crosses.append(cross)
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
-                            pq0_norm, not_converged, sum(fit_evaluations),
+                            pq0_norm, not_converged, fit_evaluations,
                             eig.iterations, eig.evans_residual)
 
 

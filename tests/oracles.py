@@ -325,16 +325,16 @@ def full_line_eigenvector(f: SpinorField, lam: complex) -> SpinorField:
     return SpinorField(grid, phi1 * rot / nrm, phi2 * rot / nrm)
 
 
-def nelder_mead_fit(pq_t, jost, lam: complex, target: SpinorField, seed):
+def nelder_mead_fit(pq_t, jost, target: SpinorField, seed):
     """(distance, a, theta, success) of a Nelder-Mead fit of up_map to target.
 
-    Minimizes combined_l2_distance(up_map(pq_t, jost, lam, a, theta), target)
+    Minimizes combined_l2_distance(up_map(pq_t, jost, a, theta), target)
     with a 1e6 penalty where up_map raises, restarting once from where an
     unconverged first run stopped.
     """
     def objective(params):
         try:
-            rec = up_map(pq_t, jost, lam, *params)
+            rec = up_map(pq_t, jost, *params)
         except MtmError:
             return 1e6
         return combined_l2_distance(rec, target)

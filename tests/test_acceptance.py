@@ -21,7 +21,7 @@ from mtmlab.fields import (
     l2_norm_sq,
 )
 from mtmlab.lax import find_eigenvalue, project_P, s_constant, solve_time_bvp
-from mtmlab.backlund import RiccatiField, riccati_residual
+from mtmlab.backlund import pushforward_eigenvector, riccati_residual
 from mtmlab.solitons import (
     csech,
     free_lax_vector,
@@ -180,7 +180,7 @@ def test_criterion_8_up_map_reconstruction(grid):
     s = np.sin(GAMMA0)
     for a, theta in ((0.0, 0.0), (1.0, np.pi / 3), (-0.8, 2.1)):
         jost = solve_time_bvp(zero, LAM0, 0.0)
-        rec = up_map(zero, jost, LAM0, a, theta)
+        rec = up_map(zero, jost, a, theta)
         phase = 1j * np.exp(-1j * theta)
         uref = phase * s * csech(grid.x * s - 0.5j * GAMMA0 - a)
         vref = -phase * s * csech(grid.x * s + 0.5j * GAMMA0 - a)
@@ -234,8 +234,7 @@ def test_criterion_10_property_suites(grid, rng):
     p = polar(GAMMA0)
     phi = free_lax_vector(p, 0.0, grid)
     created = backlund_transform(SpinorField.zero(grid), phi, p.lam)
-    ric = RiccatiField.from_lax_vector(phi).reciprocal_conjugate()
-    riccati = riccati_residual(ric, created, p.lam)
+    riccati = riccati_residual(pushforward_eigenvector(phi, p.gamma), created, p.lam)
 
     # projector idempotence
     env = np.exp(-grid.x ** 2 / 40)

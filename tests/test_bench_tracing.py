@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 
 from mtmlab import cli, lax, stability
-from mtmlab.fields import Grid, write_field_csv
+from mtmlab.fields import Grid, SpinorField, write_field_csv
 from mtmlab.solitons import stationary_soliton
 
 from helpers import load_bench_module
@@ -68,6 +68,29 @@ def test_evolve_spans_see_every_snapshot(tmp_path):
     assert totals["fields.write_csv"]["calls"] == len(snapshots)
     assert totals["evolution.evolve"]["calls"] == 1
     assert totals["fields.read_csv"]["calls"] == 1
+
+
+def test_backlund_up_spans_see_one_time_bvp(tmp_path):
+    """`mtmlab backlund --direction up` solves one time BVP and maps up once, under patched names.
+
+    A command that reached solve_time_bvp or up_map under another name would
+    leave these spans at 0 calls.
+    """
+    tracing = load_bench_module("tracing")
+    src = tmp_path / "zero.csv"
+    write_field_csv(SpinorField.zero(Grid.symmetric(30.0, 64)), str(src))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        code = cli.main(["backlund", "--field", str(src), "--direction", "up",
+                         "--lambda-re", "0.7", "--lambda-im", "0.7",
+                         "--a", "0.3", "--theta", "0.4", "--out", str(tmp_path / "up.csv")])
+    finally:
+        restore()
+    assert code == 0
+    totals = tracer.totals()
+    for name in ("lax.solve_time_bvp", "lax.solve_jost", "backlund.up_map"):
+        assert totals[name]["calls"] == 1, name
 
 
 def test_stability_spans_see_every_sample():

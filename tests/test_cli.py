@@ -249,6 +249,21 @@ def test_config_line_without_equals_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["soliton", "stability"])
+def test_repeated_config_key_is_usage_error(tmp_path, capsys, command):
+    """A key given twice (grid-n and grid_n are one key) exits 2 naming both lines; nothing written."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("grid-n = 256\n# comment\ngrid_n = 512\n")
+    out = tmp_path / "out"
+    argv = {"soliton": ["--gamma", str(GAMMA), "--out", str(out)],
+            "stability": ["--gamma0", str(GAMMA), "--epsilon", "0.01",
+                          "--out-dir", str(out)]}[command]
+    assert run([command, "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {cfg}:3: key 'grid_n' repeats {cfg}:1\n")
+    assert not out.exists()
+
+
 def test_epsilon_that_is_not_a_number_is_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01",

@@ -103,6 +103,8 @@ def test_inner_product_sesquilinear(grid, rng):
 def test_inner_product_grid_mismatch(grid, grid_small):
     with pytest.raises(GridMismatchError):
         inner_product(SpinorField.zero(grid), SpinorField.zero(grid_small))
+    with pytest.raises(GridMismatchError):
+        combined_l2_distance(SpinorField.zero(grid), SpinorField.zero(grid_small))
 
 
 def test_inner_product_null_vector_pairings(grid):
@@ -291,6 +293,10 @@ _MALFORMED = {
     "non-numeric": (_set_cell(5, 3, "abc"), "abc"),
     "short-row": (lambda lines: lines[:7] + ["1,2,3"] + lines[8:], "columns"),
     "long-row": (lambda lines: lines[:7] + [lines[7] + ",0"] + lines[8:], "columns"),
+    "invalid-grid": (lambda lines: [lines[0], "# x_min=1 x_max=0 n=8"] + lines[2:],
+                     "invalid grid line .* grid requires x_max > x_min"),
+    "four-columns": (lambda lines: lines[:2] + [row.rsplit(",", 1)[0] for row in lines[2:]],
+                     "expected 5 columns, got 4"),
 }
 
 

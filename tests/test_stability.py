@@ -328,8 +328,8 @@ def test_unconverged_fit_is_restarted_once(monkeypatch, grid_small, statuses, co
     monkeypatch.setattr(stability, "minimize", fake_minimize)
     zero = SpinorField.zero(grid_small)
     jost = solve_time_bvp(zero, P0.lam, 0.0)
-    target = up_map(zero, jost, P0.lam, 0.5, 0.5)
-    dist, a, th, ok = stability._fit_reconstruction(zero, jost, P0.lam, target, (0.0, 0.0))
+    target = up_map(zero, jost, 0.5, 0.5)
+    dist, a, th, ok, _ = stability._fit_reconstruction(zero, jost, target, (0.0, 0.0))
     assert ok is converged
     assert len(starts) == 2
     assert np.array_equal(starts[1], starts[0] + 0.25)   # restarted where it stopped
@@ -365,7 +365,7 @@ def reconstruction_fits():
     fit = stability._fit_reconstruction
 
     def spy(*args):
-        fits.append(args[:5])
+        fits.append(args[:4])
         return fit(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -380,37 +380,35 @@ def reconstruction_fits():
 def test_fit_matches_nelder_mead_oracle(reconstruction_fits, k):
     # measured on 159 fits: 6.9e-14 to 5.4e-6 relative below the oracle, with
     # (a, theta) within 6e-10 of it
-    pq_t, jost, lam, target, seed = reconstruction_fits[k]
-    dist, a, th, ok = stability._fit_reconstruction(pq_t, jost, lam, target, seed)
-    ref_dist, ref_a, ref_th, ref_ok = nelder_mead_fit(pq_t, jost, lam, target, seed)
+    pq_t, jost, target, seed = reconstruction_fits[k]
+    dist, a, th, ok, _ = stability._fit_reconstruction(pq_t, jost, target, seed)
+    ref_dist, ref_a, ref_th, ref_ok = nelder_mead_fit(pq_t, jost, target, seed)
     assert ok and ref_ok
     assert dist <= ref_dist * (1 + 1e-12)
     assert abs(a - ref_a) <= 1e-8 and abs(th - ref_th) <= 1e-8
-    assert dist == combined_l2_distance(up_map(pq_t, jost, lam, a, th), target)
+    assert dist == combined_l2_distance(up_map(pq_t, jost, a, th), target)
 
 
 def test_fit_reaches_an_exact_target(grid_small):
     # the norm-sum has a corner at r = 0; the 1/||r|| terms must not divide 0 by 0
     zero = SpinorField.zero(grid_small)
     jost = solve_time_bvp(zero, P0.lam, 0.7)
-    target = up_map(zero, jost, P0.lam, -1.0, 2.0)
-    evaluations = []
+    target = up_map(zero, jost, -1.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist, a, th, ok = stability._fit_reconstruction(zero, jost, P0.lam, target,
-                                                        (0.3, 1.5), evaluations)
+        dist, a, th, ok, evaluations = stability._fit_reconstruction(zero, jost, target,
+                                                                     (0.3, 1.5))
     assert dist < 1e-12 and ok
     assert abs(a + 1.0) < 1e-12 and abs(th - 2.0) < 1e-12
-    assert len(evaluations) == 1 and evaluations[0] > 1
+    assert evaluations > 1
 
 
 def test_fit_on_the_penalty_is_unconverged(grid_small):
     # a vanishing Jost pair makes every up_map raise DegenerateVectorError
     zero = SpinorField.zero(grid_small)
-    target = up_map(zero, solve_time_bvp(zero, P0.lam, 0.0), P0.lam, 0.0, 0.0)
-    evaluations = []
-    dist, a, th, ok = stability._fit_reconstruction(
-        zero, JostPair(P0.lam, zero, zero), P0.lam, target, (0.2, 0.1), evaluations)
+    target = up_map(zero, solve_time_bvp(zero, P0.lam, 0.0), 0.0, 0.0)
+    dist, a, th, ok, evaluations = stability._fit_reconstruction(
+        zero, JostPair(P0.lam, zero, zero), target, (0.2, 0.1))
     assert ok is False
     assert dist == stability.FIT_PENALTY and (a, th) == (0.2, 0.1)
-    assert evaluations == [1]
+    assert evaluations == 1
