@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .backlund import backlund_transform, up_map
-from .errors import MtmError
-from .evolution import EvolutionConfig, charge, evolve
+from .errors import MtmError, ParameterError
+from .evolution import EvolutionConfig, _check_cfg, charge, evolve
 from .fields import (
     Grid,
     _atomic_write,
@@ -63,8 +63,9 @@ class RunManifest:
     eigenvector writes); `mtmlab backlund` records `read_s` (the field
     read, and the eigenvector read going down), `backlund_s` (the down map,
     or the time BVP and the up map) and `write_s` (the field write);
-    `mtmlab evolve` records `evolve_s` (the evolve call less its snapshot
-    writes) and `write_s` (the snapshot and series writes).
+    `mtmlab evolve` records `evolve_s` (the time spent in its `evolve`
+    calls, one per snapshot span) and `write_s` (the snapshot and series
+    writes).
     """
 
     subcommand: str
@@ -293,24 +294,28 @@ def _cmd_evolve(args) -> int:
     stride = p.value("stride")
     prefix = _resolve_out(p.value("out_prefix"))
 
-    f0 = read_field_csv(field_path)
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, output_stride=stride)
+    f = read_field_csv(field_path)
+    cfg = EvolutionConfig(dt=dt, t_end=t_end)
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    _check_cfg(f, cfg)      # before snapshot 0 is written
+    n_steps = int(round(t_end / abs(dt)))
     series: list[tuple[float, float]] = []
     outputs: list[str] = []
-    write_s = 0.0
-
-    def observer(t: float, f) -> None:
-        nonlocal write_s
+    evolve_s = write_s = 0.0
+    k_prev = 0
+    for k in (*range(0, n_steps, stride), n_steps):    # t = 0, then each span's end
+        if k > k_prev:
+            t_evolve = time.perf_counter()
+            f = evolve(f, EvolutionConfig(dt=dt, t_end=(k - k_prev) * abs(dt)))
+            evolve_s += time.perf_counter() - t_evolve
+            k_prev = k
         path = f"{prefix}{len(series):04d}.csv"
         t_write = time.perf_counter()
         write_field_csv(f, path)
         write_s += time.perf_counter() - t_write
         outputs.append(path)
-        series.append((t, charge(f)))
-
-    t_evolve = time.perf_counter()
-    evolve(f0, cfg, observer=observer)
-    evolve_s = time.perf_counter() - t_evolve - write_s
+        series.append((k * dt if k else 0.0, charge(f)))    # 0 * dt is -0 for dt < 0
     t_series = time.perf_counter()
     series_path = f"{prefix}series.csv"
     lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]

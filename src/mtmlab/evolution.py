@@ -12,13 +12,13 @@ solver tolerance.
 
 `step` is one Strang step L(dt/2) T L(dt/2), with L the local update and T
 the transport.  `evolve` merges the adjacent half updates of consecutive
-steps: between two observation times it runs the segment
+steps: it runs the s = round(t_end/|dt|) steps to t_end as one segment
 L(dt/2) T [L(dt) T]^(s-1) L(dt/2) on raw arrays, which is again symmetric,
 second order and charge-conserving, at about half the local updates; `step`
-is that segment with s = 1.  The result depends on where the segments end
-at the O(dt^2) level: they end at every `output_stride` steps when an
-observer is given, and only at t_end otherwise.  Evolving a snapshot over
-the next gap reproduces the next snapshot bit for bit.
+is that segment with s = 1.  The result depends on where a run is split
+into segments at the O(dt^2) level, so a caller that needs the field at
+intermediate times evolves span by span, and evolving a field over the
+spans that another run took reproduces that run bit for bit.
 
 A segment allocates its arrays once, not once per step: the local updates
 run in place with ufunc `out=` arguments on a working copy of the input, and
@@ -30,7 +30,6 @@ trajectory is bit-identical to one evaluated as array expressions.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +40,16 @@ from .fields import SpinorField, l2_norm_sq
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time-stepping parameters; dt must equal the grid spacing."""
+    """Time-stepping parameters: the step dt, with |dt| = dx of the grid, and t_end > 0."""
 
     dt: float
     t_end: float
-    output_stride: int = 1
 
     def __post_init__(self):
         if not math.isfinite(self.dt) or self.dt == 0:
             raise ParameterError(f"dt must be finite and nonzero, got {self.dt}")
         if not math.isfinite(self.t_end) or self.t_end <= 0:
             raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
-        if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
-            raise ParameterError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
 
 
 def _check_cfg(f: SpinorField, cfg: EvolutionConfig) -> None:
@@ -143,32 +139,26 @@ def _segment(u: np.ndarray, v: np.ndarray, dt: float, s: int) -> tuple[np.ndarra
 def step(f: SpinorField, cfg: EvolutionConfig) -> SpinorField:
     """One Strang step: half local update, exact shift transport, half update.
 
-    Negative dt reverses the transport direction and the local updates, so
-    stepping back retraces the trajectory (time-symmetric scheme).
+    `cfg.t_end` is ignored: this is the one-cell segment, the unit that a
+    fourth-order composition of steps builds on, and the name that
+    `bench/tracing.py` wraps to count steps.  Negative dt reverses the
+    transport direction and the local updates, so stepping back retraces
+    the trajectory (time-symmetric scheme).
     """
     _check_cfg(f, cfg)
     return SpinorField(f.grid, *_segment(f.u, f.v, cfg.dt, 1))
 
 
-def evolve(f0: SpinorField, cfg: EvolutionConfig, observer=None) -> SpinorField:
-    """Step to t_end (within dt/2); observer(t, field) every stride.
+def evolve(f0: SpinorField, cfg: EvolutionConfig) -> SpinorField:
+    """The field at t_end (within dt/2): s = round(t_end/|dt|) steps in one merged segment.
 
-    The observer is invoked at t = 0 and then after every `output_stride`
-    steps, including the final state.  Between two observation times (or
-    from 0 to t_end, without an observer) the run is one merged segment.
+    With s = 0 the input comes back unchanged.
     """
     _check_cfg(f0, cfg)
     n_steps = int(round(cfg.t_end / abs(cfg.dt)))
-    stride = cfg.output_stride if observer is not None else max(n_steps, 1)
-    f = f0
-    if observer is not None:
-        observer(0.0, f)
-    for k in range(0, n_steps, stride):
-        s = min(stride, n_steps - k)
-        f = SpinorField(f0.grid, *_segment(f.u, f.v, cfg.dt, s))
-        if observer is not None:
-            observer((k + s) * cfg.dt, f)
-    return f
+    if n_steps == 0:
+        return f0
+    return SpinorField(f0.grid, *_segment(f0.u, f0.v, cfg.dt, n_steps))
 
 
 def charge(f: SpinorField) -> float:

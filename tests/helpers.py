@@ -7,9 +7,24 @@ import pathlib
 import numpy as np
 
 from mtmlab.cli import RunManifest
+from mtmlab.evolution import EvolutionConfig, evolve
 from mtmlab.fields import SpinorField
 from mtmlab.lax import EigenvectorRemainder
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector
+
+
+def evolve_spans(f0: SpinorField, dt: float, t_end: float, stride: int):
+    """Yield (t, field) at t = 0 and after every `stride` steps to t_end, one `evolve` per span.
+
+    The last span is short when `stride` does not divide the step count.
+    """
+    n_steps = int(round(t_end / abs(dt)))
+    f, k_prev = f0, 0
+    for k in (*range(0, n_steps, stride), n_steps):
+        if k > k_prev:
+            f = evolve(f, EvolutionConfig(dt=dt, t_end=(k - k_prev) * abs(dt)))
+            k_prev = k
+        yield k * dt, f
 
 
 def load_bench_module(name: str):

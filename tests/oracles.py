@@ -372,7 +372,7 @@ def allocating_segment(u, v, dt, s):
 
 
 def allocating_trajectory(f0: SpinorField, dt: float, n_steps: int, stride: int):
-    """The (u, v) arrays `evolve` hands its observer: t = 0, then every stride steps."""
+    """The (u, v) arrays at t = 0 and after every stride steps, one segment per span."""
     out = [(f0.u, f0.v)]
     u, v = f0.u, f0.v
     for k in range(0, n_steps, stride):

@@ -38,7 +38,7 @@ from mtmlab.stability import (
 )
 
 from oracles import zero_curvature_residual
-from helpers import polar
+from helpers import evolve_spans, polar
 
 GAMMA0 = np.pi / 2
 LAM0 = np.exp(0.25j * np.pi)
@@ -146,9 +146,7 @@ def test_criterion_7_evolution(grid):
     f0 = make_perturbed_initial(ExperimentConfig(gamma0=GAMMA0, epsilon=0.01,
                                                  perturbation_seed=0))
     c0 = charge(f0)
-    drifts = []
-    evolve(f0, EvolutionConfig(dt=grid.dx, t_end=20.0, output_stride=64),
-           observer=lambda t, f: drifts.append(abs(charge(f) - c0) / c0))
+    drifts = [abs(charge(f) - c0) / c0 for _, f in evolve_spans(f0, grid.dx, 20.0, 64)]
     drift = max(drifts)
     # second-order soliton tracking under dt refinement
     errs = []

@@ -15,7 +15,7 @@ from mtmlab.backlund import (
 from mtmlab.errors import DegenerateVectorError, GridMismatchError, ParameterError
 from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
 from mtmlab.lax import JostPair, assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
-from mtmlab.evolution import EvolutionConfig, charge, evolve
+from mtmlab.evolution import charge
 from mtmlab.solitons import (
     csech,
     free_lax_vector,
@@ -25,7 +25,7 @@ from mtmlab.solitons import (
 )
 
 from oracles import bumped_soliton, collinearity_defect, perturbations, spatial_residual
-from helpers import polar
+from helpers import evolve_spans, polar
 
 LAM0 = np.exp(0.25j * np.pi)
 
@@ -240,9 +240,7 @@ def test_down_map_output_charge_conserved_under_evolution(grid, perturbed):
     res = find_eigenvalue(f, LAM0)
     pq0 = down_map(f, res)
     c0 = charge(pq0)
-    drifts = []
-    evolve(pq0, EvolutionConfig(dt=grid.dx, t_end=5.0, output_stride=32),
-           observer=lambda t, g: drifts.append(abs(charge(g) - c0) / c0))
+    drifts = [abs(charge(g) - c0) / c0 for _, g in evolve_spans(pq0, grid.dx, 5.0, 32)]
     assert max(drifts) < 1e-6
 
 

@@ -43,7 +43,7 @@ def test_lax_spans_see_the_eigenvalue_search():
 
 
 def test_evolve_spans_see_every_snapshot(tmp_path):
-    """`mtmlab evolve` reads once, evolves once and writes each snapshot through the patched names.
+    """`mtmlab evolve` reads once, evolves each span and writes each snapshot via the patched names.
 
     A writer or evolver reached under another name would leave the
     `cli_snapshots` spans short, and the traced benchmark would misplace the
@@ -66,7 +66,7 @@ def test_evolve_spans_see_every_snapshot(tmp_path):
     assert len(snapshots) == 5      # t = 0 and after steps 3, 6, 9 and 10
     totals = tracer.totals()
     assert totals["fields.write_csv"]["calls"] == len(snapshots)
-    assert totals["evolution.evolve"]["calls"] == 1
+    assert totals["evolution.evolve"]["calls"] == 4     # spans of 3, 3, 3 and 1 steps
     assert totals["fields.read_csv"]["calls"] == 1
 
 

@@ -13,6 +13,7 @@ from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS
 from mtmlab.solitons import SpectralParameter, soliton_field
 
 from helpers import read_manifest
+from oracles import allocating_trajectory, bumped_soliton
 
 
 GAMMA = 1.5707963267948966
@@ -167,6 +168,47 @@ def test_evolve_wrong_dt_is_domain_error(tmp_path):
     code = run(["evolve", "--field", str(field), "--dt", "0.5", "--t-end", "1",
                 "--out-prefix", str(tmp_path / "x_")])
     assert code == 1
+    assert not list(tmp_path.glob("x_*"))
+
+
+@pytest.mark.parametrize("stride_args,config", [
+    (["--stride", "0"], None),
+    (["--stride", "-3"], None),
+    ([], "stride = 0\n"),
+])
+def test_evolve_rejects_a_stride_below_one(tmp_path, capsys, stride_args, config):
+    field = tmp_path / "s.csv"
+    run(["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", str(field)])
+    capsys.readouterr()
+    args = ["evolve", "--field", str(field), "--dt", repr(60.0 / 1024), "--t-end", "0.5",
+            "--out-prefix", str(tmp_path / "x_"), *stride_args]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert run(args) == 1
+    assert "error: ParameterError" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x_*"))
+
+
+@pytest.mark.parametrize("stride", (1, 3))
+@pytest.mark.parametrize("dt_sign", (1, -1))
+def test_evolve_snapshots_match_the_allocating_trajectory(tmp_path, stride, dt_sign):
+    # 10 steps: at stride 3 the last span is one step long
+    grid = Grid.symmetric(30.0, 256)
+    f0 = bumped_soliton(grid, 0.05, 1.0, 4.0, 0.3, 0.5)
+    field = tmp_path / "f0.csv"
+    write_field_csv(f0, str(field))
+    dt = dt_sign * grid.dx
+    assert run(["evolve", "--field", str(field), "--dt", repr(dt), "--t-end", repr(10 * grid.dx),
+                "--stride", str(stride), "--out-prefix", str(tmp_path / "run_")]) == 0
+    want = allocating_trajectory(f0, dt, 10, stride)
+    snaps = sorted(tmp_path.glob("run_[0-9][0-9][0-9][0-9].csv"))
+    assert len(snaps) == len(want)
+    for path, (wu, wv) in zip(snaps, want):
+        f = read_field_csv(str(path))
+        assert f.u.tobytes() == wu.tobytes() and f.v.tobytes() == wv.tobytes()
+    series = (tmp_path / "run_series.csv").read_text().split("\n")
+    assert series[1].split(",")[0] == "0"
 
 
 def test_non_finite_inputs_are_typed_errors(tmp_path, capsys):

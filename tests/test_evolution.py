@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mtmlab.cli import main
 from mtmlab.errors import MtmError, ParameterError
 from mtmlab.evolution import (
     EvolutionConfig,
@@ -13,10 +14,11 @@ from mtmlab.evolution import (
     evolve,
     step,
 )
-from mtmlab.fields import Grid, SpinorField, combined_l2_distance
+from mtmlab.fields import Grid, SpinorField, combined_l2_distance, read_field_csv, write_field_csv
 from mtmlab.solitons import stationary_soliton
 from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
+from helpers import evolve_spans
 from oracles import allocating_trajectory, bumped_soliton, perturbations, sup_norm
 
 
@@ -66,9 +68,7 @@ def test_soliton_tracking_second_order():
 def test_charge_conserved_long_run(pert, stride):
     f0 = bumped_soliton(GRID, *pert)
     c0 = charge(f0)
-    drifts = []
-    evolve(f0, EvolutionConfig(dt=GRID.dx, t_end=20.0, output_stride=stride),
-           observer=lambda t, f: drifts.append(abs(charge(f) - c0) / c0))
+    drifts = [abs(charge(f) - c0) / c0 for _, f in evolve_spans(f0, GRID.dx, 20.0, stride)]
     assert max(drifts) < 1e-6
 
 
@@ -86,16 +86,17 @@ def test_time_reversal(pert, stride):
     # mirror the forward run's and retrace them
     f0 = bumped_soliton(GRID, *pert)
     t_end = stride * (341 // stride) * GRID.dx
-    obs = lambda t, f: None  # noqa: E731
-    fwd = evolve(f0, EvolutionConfig(dt=GRID.dx, t_end=t_end, output_stride=stride), obs)
-    back = evolve(fwd, EvolutionConfig(dt=-GRID.dx, t_end=t_end, output_stride=stride), obs)
+    for _, fwd in evolve_spans(f0, GRID.dx, t_end, stride):
+        pass
+    for _, back in evolve_spans(fwd, -GRID.dx, t_end, stride):
+        pass
     assert combined_l2_distance(back, f0) < 1e-5
 
 
 def test_evolve_at_stride_one_chains_steps(grid, perturbed):
-    cfg = EvolutionConfig(dt=grid.dx, t_end=6 * grid.dx, output_stride=1)
-    snaps = []
-    out = evolve(perturbed, cfg, observer=lambda t, f: snaps.append(f))
+    cfg = EvolutionConfig(dt=grid.dx, t_end=6 * grid.dx)
+    snaps = [f for _, f in evolve_spans(perturbed, cfg.dt, cfg.t_end, 1)]
+    out = snaps[-1]
     assert len(snaps) == 7
     f = perturbed
     for snap in snaps[1:]:
@@ -105,14 +106,19 @@ def test_evolve_at_stride_one_chains_steps(grid, perturbed):
 
 
 @pytest.mark.parametrize("dt_sign", (1, -1))
-def test_snapshot_restarts_reproduce_the_run(grid, perturbed, dt_sign):
-    # each observation closes one merged segment, so evolving a snapshot over
-    # the next gap gives the next snapshot bit for bit (the last gap is short)
+def test_snapshot_restarts_reproduce_the_run(tmp_path, grid, perturbed, dt_sign):
+    # `mtmlab evolve` runs each span as one merged segment, so evolving a
+    # snapshot read back over the next span gives the next snapshot bit for
+    # bit (the last span is short)
     stride = 5
     dt = dt_sign * grid.dx
-    snaps = []
-    evolve(perturbed, EvolutionConfig(dt=dt, t_end=23 * grid.dx, output_stride=stride),
-           observer=lambda t, f: snaps.append((t, f)))
+    write_field_csv(perturbed, str(tmp_path / "f0.csv"))
+    assert main(["evolve", "--field", str(tmp_path / "f0.csv"), "--dt", repr(dt),
+                 "--t-end", repr(23 * grid.dx), "--stride", str(stride),
+                 "--out-prefix", str(tmp_path / "run_")]) == 0
+    rows = (tmp_path / "run_series.csv").read_text().split("\n")[1:-1]
+    snaps = [(float(row.split(",")[0]), read_field_csv(str(tmp_path / f"run_{i:04d}.csv")))
+             for i, row in enumerate(rows)]
     assert len(snaps) == 6
     for (t0, a), (t1, b) in zip(snaps, snaps[1:]):
         c = evolve(a, EvolutionConfig(dt=dt, t_end=abs(t1 - t0)))
@@ -143,19 +149,8 @@ def test_small_data_sup_norm_stays_bounded(grid):
     v = 0.03 * np.exp(-(grid.x - 2) ** 2 / 6) + 0j
     f0 = SpinorField(grid, u, v)
     s0 = sup_norm(f0)
-    peak = [0.0]
-    evolve(f0, EvolutionConfig(dt=grid.dx, t_end=20.0, output_stride=32),
-           observer=lambda t, f: peak.__setitem__(0, max(peak[0], sup_norm(f))))
-    assert peak[0] <= 2 * s0
-
-
-def test_observer_cadence(grid, perturbed):
-    seen = []
-    evolve(perturbed, EvolutionConfig(dt=grid.dx, t_end=16 * grid.dx, output_stride=4),
-           observer=lambda t, f: seen.append(t))
-    assert len(seen) == 5   # t = 0 and every 4 steps
-    assert seen[0] == 0.0
-    assert seen[-1] == pytest.approx(16 * grid.dx)
+    peak = max(sup_norm(f) for _, f in evolve_spans(f0, grid.dx, 20.0, 32))
+    assert peak <= 2 * s0
 
 
 def test_dt_must_match_dx(grid, perturbed):
@@ -167,12 +162,12 @@ def test_dt_must_match_dx(grid, perturbed):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_field_raises_typed_error(grid):
     # |v|^2 overflows, and the field built at the segment end rejects the
-    # non-finite samples before any observer sees them
+    # non-finite samples before any caller sees them
     huge = SpinorField(grid, np.full(grid.n, 1e200 + 0j), np.full(grid.n, 1e200 + 0j))
     seen = []
     with pytest.raises(MtmError):
-        evolve(huge, EvolutionConfig(dt=grid.dx, t_end=4 * grid.dx, output_stride=2),
-               observer=lambda t, f: seen.append(f))
+        for _, f in evolve_spans(huge, grid.dx, 4 * grid.dx, 2):
+            seen.append(f)
     assert len(seen) == 1
     assert all(np.isfinite(f.u).all() and np.isfinite(f.v).all() for f in seen)
 
@@ -226,10 +221,8 @@ def test_evolve_is_bit_identical_to_the_allocating_segment(gamma, shape, dt_sign
     # every snapshot matches to the bit, signed zeros of the zero field included
     f0 = _trajectory_field(gamma, shape)
     dt = dt_sign * _TRAJECTORY_GRID.dx
-    snaps = []
-    evolve(f0, EvolutionConfig(dt=dt, t_end=_TRAJECTORY_STEPS * _TRAJECTORY_GRID.dx,
-                               output_stride=stride),
-           observer=lambda t, f: snaps.append((f.u, f.v)))
+    snaps = [(f.u, f.v) for _, f in
+             evolve_spans(f0, dt, _TRAJECTORY_STEPS * _TRAJECTORY_GRID.dx, stride)]
     want = allocating_trajectory(f0, dt, _TRAJECTORY_STEPS, stride)
     assert len(snaps) == len(want)
     for (u, v), (wu, wv) in zip(snaps, want):
@@ -241,9 +234,7 @@ def test_config_validation():
         EvolutionConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ParameterError):
         EvolutionConfig(dt=0.1, t_end=-1.0)
-    with pytest.raises(ParameterError):
-        EvolutionConfig(dt=0.1, t_end=1.0, output_stride=0)
     for bad in (dict(dt=float("nan"), t_end=1.0), dict(dt=0.1, t_end=float("inf")),
-                dict(dt=float("inf"), t_end=1.0), dict(dt=0.1, t_end=1.0, output_stride=2.5)):
+                dict(dt=float("inf"), t_end=1.0)):
         with pytest.raises(ParameterError):
             EvolutionConfig(**bad)

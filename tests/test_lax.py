@@ -32,11 +32,10 @@ from mtmlab.lax import (
     solve_time_bvp,
 )
 from mtmlab import lax
-from mtmlab.evolution import EvolutionConfig, evolve
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector, stationary_soliton
 from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
-from helpers import reconstruct
+from helpers import evolve_spans, reconstruct
 from oracles import (
     collinearity_defect,
     full_line_eigenvector,
@@ -567,9 +566,7 @@ def small_field(grid):
 def test_time_bvp_matches_time_propagation(grid, small_field):
     # two independent constructions of the same Lax solution at t = 5
     lam = LAM0
-    fields = []
-    evolve(small_field, EvolutionConfig(dt=grid.dx, t_end=5.0),
-           observer=lambda t, f: fields.append(f))
+    fields = [f for _, f in evolve_spans(small_field, grid.dx, 5.0, 1)]
     t_n = (len(fields) - 1) * grid.dx
     pair0 = solve_time_bvp(small_field, lam, 0.0)
     pair_n = solve_time_bvp(fields[-1], lam, t_n)
@@ -588,9 +585,7 @@ def test_time_bvp_matches_time_propagation(grid, small_field):
 def test_time_bvp_boundary_amplitude_bound(grid, small_field):
     # ||varphi1 - e^{i t cos(g)/2}||_inf controlled by the small-field size
     lam = LAM0
-    fields = []
-    evolve(small_field, EvolutionConfig(dt=grid.dx, t_end=10.0),
-           observer=lambda t, f: fields.append(f))
+    fields = [f for _, f in evolve_spans(small_field, grid.dx, 10.0, 1)]
     t_n = (len(fields) - 1) * grid.dx
     pair = solve_time_bvp(fields[-1], lam, t_n)
     m1, _ = gauge_phases(fields[-1])
