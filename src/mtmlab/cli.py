@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .backlund import backlund_transform, up_map
 from .errors import MtmError, ParameterError
-from .evolution import EvolutionConfig, _check_cfg, charge, evolve
+from .evolution import EvolutionConfig, _check_cfg, charge, evolve, step_count
 from .fields import (
     Grid,
     _atomic_write,
@@ -299,7 +299,7 @@ def _cmd_evolve(args) -> int:
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
     _check_cfg(f, cfg)      # before snapshot 0 is written
-    n_steps = int(round(t_end / abs(dt)))
+    n_steps = step_count(t_end, dt)
     series: list[tuple[float, float]] = []
     outputs: list[str] = []
     evolve_s = write_s = 0.0

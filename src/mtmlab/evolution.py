@@ -149,13 +149,22 @@ def step(f: SpinorField, cfg: EvolutionConfig) -> SpinorField:
     return SpinorField(f.grid, *_segment(f.u, f.v, cfg.dt, 1))
 
 
+def step_count(t: float, dt: float) -> int:
+    """The number of steps of size |dt| nearest to the horizon t: round(t/|dt|), ties to even.
+
+    The one rule by which `evolve`, `mtmlab evolve` and `run_experiment` snap
+    a time to a whole number of steps.
+    """
+    return int(round(t / abs(dt)))
+
+
 def evolve(f0: SpinorField, cfg: EvolutionConfig) -> SpinorField:
     """The field at t_end (within dt/2): s = round(t_end/|dt|) steps in one merged segment.
 
     With s = 0 the input comes back unchanged.
     """
     _check_cfg(f0, cfg)
-    n_steps = int(round(cfg.t_end / abs(cfg.dt)))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     if n_steps == 0:
         return f0
     return SpinorField(f0.grid, *_segment(f0.u, f0.v, cfg.dt, n_steps))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backlund import down_map, up_map, up_map_tangents
 from .errors import MtmError, ParameterError
-from .evolution import EvolutionConfig, charge, evolve
+from .evolution import EvolutionConfig, charge, evolve, step_count
 from .fields import (
     Grid,
     SpinorField,
@@ -166,6 +166,75 @@ def _shift_scan(f: SpinorField, ev, t: float) -> tuple[np.ndarray, np.ndarray]:
     return dx * np.arange(-m_max, m_max + 1), dists
 
 
+def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> float:
+    """A minimizer of fun on [lo, hi] by Brent's method (golden sections and parabolas).
+
+    Stops when both ends of the bracket lie within tol2 = 2 (1.5e-8 |x| +
+    xatol / 3) of the best point x.  Each evaluation lies at least tol2 / 2
+    from x and narrows the bracket, so the loop needs no evaluation cap:
+    SciPy's cap (500) is far above the 6-11 evaluations a modulated
+    distance takes.
+    """
+    # follows scipy.optimize._optimize._minimize_scalar_bounded (BSD-3)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point, nfc the second best, fulc the previous second best
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fun(xf)
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through the three points, accepted if it moves
+            # less than half the step before last and stays in the bracket
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = fun(x)
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf
+
+
 def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> ModulationFit:
     """The norm-sum distance to the soliton orbit, minimized over the shift.
 
@@ -178,8 +247,6 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     ||du||^2 + ||dv||^2; it is not re-optimized for the norm-sum.  The
     soliton is shifted analytically, so no field interpolation enters.
     """
-    from scipy.optimize import minimize_scalar
-
     ev = soliton_evaluator(p)
     shifts, dists = _shift_scan(f, ev, t)
     j = int(np.argmin(dists))
@@ -188,11 +255,11 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     # the offset from a0: the bounded method's tolerance grows with |x|.
     # dist^2 is flat to rounding within ~1e-8 * dist of its minimum, and a
     # tolerance below that only adds golden-section steps.
-    opt = minimize_scalar(lambda d: _orbit_distance(f, ev, t, a0 + d)[0] ** 2,
-                          bounds=(shifts[max(j - 1, 0)] - a0,
-                                  shifts[min(j + 1, len(shifts) - 1)] - a0),
-                          method="bounded", options={"xatol": 1e-10 + 3e-7 * dists[j]})
-    a_star = a0 + opt.x
+    offset = _bounded_brent(lambda d: _orbit_distance(f, ev, t, a0 + d)[0] ** 2,
+                            float(shifts[max(j - 1, 0)] - a0),
+                            float(shifts[min(j + 1, len(shifts) - 1)] - a0),
+                            xatol=1e-10 + 3e-7 * float(dists[j]))
+    a_star = a0 + offset
     dist, theta = _orbit_distance(f, ev, t, a_star)
     return ModulationFit(dist, float(a_star), float(theta))
 
@@ -250,16 +317,112 @@ FIT_STEP_TOL = 1e-9
 FIT_PENALTY = 1e6
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on first use.
+@dataclass(frozen=True)
+class FitResult:
+    """Where `minimize` stopped, the value there, its converged status and evaluations."""
 
-    SciPy's optimize package takes longer to import than a whole eigen or
-    evolve command, so only the fits and the modulated distance load it.
-    The result is scipy's OptimizeResult, unchanged.
+    x: np.ndarray
+    fun: float
+    success: bool
+    nfev: int
+
+
+def _newton_step(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """-h^{-1} g through the Cholesky factor h = U^T U; None unless h is positive definite."""
+    if not h[0, 0] > 0:
+        return None
+    u11 = math.sqrt(h[0, 0])
+    u12 = h[0, 1] / u11
+    c = h[1, 1] - u12 * u12
+    if not c > 0:
+        return None
+    u22 = math.sqrt(c)
+    y1 = g[0] / u11
+    y2 = (g[1] - u12 * y1) / u22
+    x2 = y2 / u22
+    return -np.array([(y1 - u12 * x2) / u11, x2])
+
+
+def _dogleg_step(g: np.ndarray, h: np.ndarray, radius: float):
+    """(p, on_boundary): the dogleg minimizer of g.p + p.h p / 2 over |p| <= radius.
+
+    p is None where h is not positive definite.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    p_newton = _newton_step(g, h)
+    if p_newton is None:
+        return None, False
+    if math.hypot(*p_newton) < radius:
+        return p_newton, False
+    p_cauchy = -(np.dot(g, g) / np.dot(g, np.dot(h, g))) * g
+    cauchy_norm = math.hypot(*p_cauchy)
+    if cauchy_norm >= radius:
+        return p_cauchy * (radius / cauchy_norm), True
+    # the larger root t of |p_cauchy + t d| = radius, in the cancellation-free form
+    d = p_newton - p_cauchy
+    a = np.dot(d, d)
+    b = 2 * np.dot(p_cauchy, d)
+    c = np.dot(p_cauchy, p_cauchy) - radius ** 2
+    aux = b + math.copysign(math.sqrt(b * b - 4 * a * c), b)
+    return p_cauchy + max(-aux / (2 * a), -2 * c / aux) * d, True
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+def minimize(fun, x0, jac, hess) -> FitResult:
+    """Minimize the reconstruction-fit objective fun from x0 by Powell's dogleg method.
+
+    jac and hess give the gradient and a positive definite Hessian model at
+    a point; they are asked for only at the points the trust region accepts.
+    The radius starts at 1, is capped at 1000, shrinks 4x where a step gains
+    less than a quarter of its predicted decrease, and doubles where a
+    boundary step gains more than three quarters; a step is accepted where
+    it gains more than 0.15 of its prediction (Nocedal & Wright, Numerical
+    Optimization, section 4.1).  The iteration stops when the gradient norm
+    falls below FIT_GTOL, when the model predicts no decrease (the rounding
+    floor), at a Hessian that is not positive definite, or after 200
+    iterations per parameter.  `success` is the fit's converged rule: the
+    gradient is below FIT_GTOL or the Gauss-Newton step is at most
+    FIT_STEP_TOL, at a point off the FIT_PENALTY.  nfev counts the points
+    at which fun was evaluated.
+    """
+    # follows scipy.optimize._trustregion._minimize_trust_region with its
+    # dogleg subproblem (BSD-3)
+    x = np.array(x0, dtype=float)
+    f, g, h = fun(x), jac(x), hess(x)
+    x_seen, f_seen = x, f       # the last point evaluated
+    nfev, radius = 1, 1.0
+    for _ in range(200 * len(x)):
+        if math.hypot(*g) < FIT_GTOL:
+            break
+        p, on_boundary = _dogleg_step(g, h, radius)
+        if p is None:
+            break
+        x_new = x + p
+        # near the rounding floor a shrunken step can round to the same point
+        if not np.array_equal(x_new, x_seen):
+            x_seen, f_seen = x_new, fun(x_new)
+            nfev += 1
+        f_new = f_seen
+        predicted = f - (f + np.dot(g, p) + 0.5 * np.dot(p, np.dot(h, p)))
+        if predicted <= 0:
+            break
+        rho = (f - f_new) / predicted
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2 * radius, 1000.0)
+        if rho > 0.15:
+            x, f = x_new, f_new
+            g, h = jac(x), hess(x)
+    return FitResult(x, f, f < FIT_PENALTY and _converged(g, h), nfev)
+
+
+def _converged(g: np.ndarray, h: np.ndarray) -> bool:
+    """The gradient is below FIT_GTOL or the Gauss-Newton step is at most FIT_STEP_TOL."""
+    if math.hypot(*g) < FIT_GTOL:
+        return True
+    # the Gauss-Newton Hessian is positive semidefinite, so no step means
+    # a singular one, as at r = 0
+    step = _newton_step(g, h)
+    return step is not None and math.hypot(*step) <= FIT_STEP_TOL
 
 
 class _FitPoint:
@@ -298,19 +461,20 @@ def _fit_reconstruction(pq_t: SpinorField, jost, target: SpinorField, seed: tupl
     """Choose (a, theta) for the up map of pq_t under jost to best match target.
 
     Minimizes the _FitPoint objective, the norm-sum that cross_l2 reports,
-    by Powell's dogleg trust-region method.  Where up_map raises, the
-    objective is FIT_PENALTY with zero gradient and unit Hessian, so a trial
-    step there is rejected.
+    with `minimize`, the package's numpy port of the dogleg trust-region
+    method.  Where up_map raises, the objective is FIT_PENALTY with zero
+    gradient and unit Hessian, so a trial step there is rejected.
 
     Returns (distance, a, theta, converged, evaluations), evaluations being
-    the number of up map calls.  A fit converges when scipy reports success
-    or, since dogleg can stop at the rounding floor with a model that no
-    longer predicts a decrease, when the Gauss-Newton step at the returned
-    point is at most FIT_STEP_TOL.  An unconverged fit is restarted once
-    from where it stopped; a fit that ends on the penalty never converges.
+    the number of up map calls.  `converged` is the status `minimize`
+    reports: the gradient fell below FIT_GTOL or, since dogleg can stop at
+    the rounding floor with a model that no longer predicts a decrease, the
+    Gauss-Newton step at the returned point is at most FIT_STEP_TOL; a fit
+    that ends on the penalty never converges.  An unconverged fit is
+    restarted once from where it stopped.
     """
     # only two points are kept: each holds several field-sized arrays, and
-    # dogleg asks for derivatives right after a point's value
+    # minimize asks for derivatives right after an accepted point's value
     @lru_cache(maxsize=2)
     def evaluate(key: bytes) -> _FitPoint | None:
         try:
@@ -334,28 +498,10 @@ def _fit_reconstruction(pq_t: SpinorField, jost, target: SpinorField, seed: tupl
         p = point(x)
         return np.eye(2) if p is None else p.derivatives[1]
 
-    def converged(opt) -> bool:
-        p = point(opt.x)
-        if p is None:
-            return False
-        if opt.success:
-            return True
-        try:
-            step = np.linalg.solve(p.derivatives[1], p.derivatives[0])
-        except np.linalg.LinAlgError:      # no Newton step, e.g. at r = 0
-            return False
-        return bool(np.hypot(*step) <= FIT_STEP_TOL)
-
-    def fit(x0):
-        return minimize(fun, x0=x0, method="dogleg", jac=jac, hess=hess,
-                        options={"gtol": FIT_GTOL})
-
-    opt = fit(seed)
-    ok = converged(opt)
-    if not ok:
-        opt = fit(opt.x)
-        ok = converged(opt)
-    return float(opt.fun), *opt.x, ok, evaluate.cache_info().misses
+    opt = minimize(fun, x0=seed, jac=jac, hess=hess)
+    if not opt.success:
+        opt = minimize(fun, x0=opt.x, jac=jac, hess=hess)
+    return float(opt.fun), *opt.x, opt.success, evaluate.cache_info().misses
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -385,7 +531,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     not_converged = 0
     fit_evaluations = 0
     k_prev = 0
-    for k in (int(round(t / dx)) for t in cfg.sample_times()):
+    for k in (step_count(t, dx) for t in cfg.sample_times()):
         if k > k_prev:
             gap = EvolutionConfig(dt=dx, t_end=(k - k_prev) * dx)
             if do_direct:

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 
 from mtmlab.cli import RunManifest
-from mtmlab.evolution import EvolutionConfig, evolve
+from mtmlab.evolution import EvolutionConfig, evolve, step_count
 from mtmlab.fields import SpinorField
 from mtmlab.lax import EigenvectorRemainder
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector
@@ -18,7 +18,7 @@ def evolve_spans(f0: SpinorField, dt: float, t_end: float, stride: int):
 
     The last span is short when `stride` does not divide the step count.
     """
-    n_steps = int(round(t_end / abs(dt)))
+    n_steps = step_count(t_end, dt)
     f, k_prev = f0, 0
     for k in (*range(0, n_steps, stride), n_steps):
         if k > k_prev:

@@ -10,22 +10,25 @@ kernel (stacked np.matmul RK4 transfers, sequential propagation) that the
 tree scan replaced, the whole-line Evans function and eigenvector splice
 (both Jost solutions on the whole line from `solve_jost`) that the
 half-line scans replaced, the derivative-free Nelder-Mead reconstruction fit
-that the dogleg fit replaced, the allocating local update and Strang segment
-(np.roll transport) that the in-place segment replaced, and the per-row CSV
-formatter that the one-pass writer replaced (adapted to emit the grid line
-the snapshots gained later).
+that the dogleg fit replaced, SciPy's dogleg and bounded Brent minimizers
+that the package's numpy ports of them replaced, the allocating local update
+and Strang segment (np.roll transport) that the in-place segment replaced,
+and the per-row CSV formatter that the one-pass writer replaced (adapted to
+emit the grid line the snapshots gained later).
 It also holds the perturbed-soliton family the property tests draw from.
 """
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
-from mtmlab.backlund import up_map
+from mtmlab import stability
+from mtmlab.backlund import up_map, up_map_tangents
 from mtmlab.errors import DegenerateVectorError, IntegrationError, MtmError
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, d_dx, l2_norm
 from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L, solve_jost
@@ -344,6 +347,70 @@ def nelder_mead_fit(pq_t, jost, target: SpinorField, seed):
     if not opt.success:
         opt = minimize(objective, x0=opt.x, method="Nelder-Mead", options=options)
     return float(opt.fun), *opt.x, opt.success
+
+
+def scipy_dogleg_fit(pq_t, jost, target: SpinorField, seed):
+    """(distance, a, theta, converged, nfev) of SciPy's dogleg on the package's fit objective.
+
+    The objective, its gradient and its Gauss-Newton Hessian are those of
+    `stability._FitPoint`, with the FIT_PENALTY point where up_map raises;
+    only the solver differs from `stability._fit_reconstruction`.  The fit
+    converges as the package defines it: SciPy reports success, or the
+    Gauss-Newton step at the returned point is at most FIT_STEP_TOL, never on
+    the penalty.  An unconverged fit is restarted once from where it stopped.
+    nfev sums SciPy's evaluation counts over both runs.
+    """
+    @functools.cache
+    def evaluate(key: bytes):
+        try:
+            rec, tangents = up_map_tangents(pq_t, jost, *np.frombuffer(key))
+        except MtmError:
+            return None
+        return stability._FitPoint(rec, target, tangents)
+
+    def point(x):
+        return evaluate(np.asarray(x, dtype=float).tobytes())
+
+    def fun(x):
+        p = point(x)
+        return stability.FIT_PENALTY if p is None else p.fun
+
+    def jac(x):
+        p = point(x)
+        return np.zeros(2) if p is None else p.derivatives[0]
+
+    def hess(x):
+        p = point(x)
+        return np.eye(2) if p is None else p.derivatives[1]
+
+    def converged(opt):
+        p = point(opt.x)
+        if p is None:
+            return False
+        if opt.success:
+            return True
+        try:
+            step = np.linalg.solve(p.derivatives[1], p.derivatives[0])
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.hypot(*step) <= stability.FIT_STEP_TOL)
+
+    def fit(x0):
+        return minimize(fun, x0=x0, method="dogleg", jac=jac, hess=hess,
+                        options={"gtol": stability.FIT_GTOL})
+
+    opt = fit(seed)
+    ok, nfev = converged(opt), opt.nfev
+    if not ok:
+        opt = fit(opt.x)
+        ok, nfev = converged(opt), nfev + opt.nfev
+    return float(opt.fun), *opt.x, ok, nfev
+
+
+def scipy_bounded_brent(fun, lo: float, hi: float, xatol: float) -> float:
+    """SciPy's bounded Brent minimizer of fun on [lo, hi]."""
+    return minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol}).x
 
 
 def allocating_local_update(u, v, tau):

@@ -340,16 +340,17 @@ _IMPORT_PROBE = textwrap.dedent('''
                      "--out", "small.csv"]) == 0
     assert cli.main(["evolve", "--field", "s.csv", "--dt", repr(60.0 / 256), "--t-end", "1",
                      "--out-prefix", "run_"]) == 0
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, loaded[:5]
+    assert cli.main(["stability", "--gamma0", "1.5707963267948966", "--epsilon", "0.01",
+                     "--t-end", "2", "--grid-n", "256", "--out-dir", "exp"]) == 0
     field = mtmlab.read_field_csv("s.csv")
     mtmlab.modulated_distance(field, mtmlab.SpectralParameter(complex(0.73, 0.68)), 0.0)
-    assert "scipy.optimize" in sys.modules
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, loaded[:5]
 ''')
 
 
-def test_scipy_loads_only_at_the_first_distance(tmp_path):
-    """`import mtmlab` and the soliton, eigen, backlund and evolve commands load numpy only."""
+def test_no_command_loads_scipy(tmp_path):
+    """The package runs on numpy alone: every subcommand, the stability fits included."""
     env = {**os.environ, "PYTHONPATH": _SRC}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)

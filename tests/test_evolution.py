@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from mtmlab.cli import main
 from mtmlab.errors import MtmError, ParameterError
+from mtmlab import evolution
 from mtmlab.evolution import (
     EvolutionConfig,
     _local_update,
@@ -13,10 +14,11 @@ from mtmlab.evolution import (
     charge,
     evolve,
     step,
+    step_count,
 )
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, read_field_csv, write_field_csv
 from mtmlab.solitons import stationary_soliton
-from mtmlab.stability import ExperimentConfig, make_perturbed_initial
+from mtmlab.stability import ExperimentConfig, make_perturbed_initial, run_experiment
 
 from helpers import evolve_spans
 from oracles import allocating_trajectory, bumped_soliton, perturbations, sup_norm
@@ -123,6 +125,34 @@ def test_snapshot_restarts_reproduce_the_run(tmp_path, grid, perturbed, dt_sign)
     for (t0, a), (t1, b) in zip(snaps, snaps[1:]):
         c = evolve(a, EvolutionConfig(dt=dt, t_end=abs(t1 - t0)))
         assert np.array_equal(c.u, b.u) and np.array_equal(c.v, b.v)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("nudge", (-1e-9, 0.0, 1e-9))
+def test_callers_snap_a_horizon_to_the_same_step_count(tmp_path, monkeypatch, k, nudge):
+    # at (k + 1/2) dx the rounding tie goes to the even count, a nudge either side
+    # decides it; evolve, `mtmlab evolve` and run_experiment all take step_count's
+    g = Grid.symmetric(30.0, 256)
+    horizon = (k + 0.5 + nudge) * g.dx
+    want = step_count(horizon, g.dx)
+    assert want == (k if nudge < 0 or (nudge == 0 and k % 2 == 0) else k + 1)
+    segments = []
+    segment = evolution._segment
+    monkeypatch.setattr(evolution, "_segment",
+                        lambda u, v, dt, s: segments.append(s) or segment(u, v, dt, s))
+    f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g)
+    evolve(f0, EvolutionConfig(dt=-g.dx, t_end=horizon))
+    assert segments == [want]
+
+    write_field_csv(f0, str(tmp_path / "f0.csv"))
+    assert main(["evolve", "--field", str(tmp_path / "f0.csv"), "--dt", repr(-g.dx),
+                 "--t-end", repr(horizon), "--out-prefix", str(tmp_path / "run_")]) == 0
+    rows = (tmp_path / "run_series.csv").read_text().split("\n")[1:-1]
+    assert float(rows[-1].split(",")[0]) == -want * g.dx
+
+    res = run_experiment(ExperimentConfig(gamma0=np.pi / 2, epsilon=0.0, grid=g,
+                                          t_end=horizon, times=(horizon,), pipeline="direct"))
+    assert res.records[0].t == want * g.dx
 
 
 def test_translation_equivariance(grid, perturbed):
