@@ -45,7 +45,7 @@ from .backlund import (  # noqa: F401
     riccati_residual,
     up_map,
 )
-from .evolution import EvolutionConfig, charge, evolve, step  # noqa: F401
+from .evolution import charge, evolve, step  # noqa: F401
 from .stability import (  # noqa: F401
     ExperimentConfig,
     ExperimentRecord,

@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .backlund import backlund_transform, up_map
 from .errors import MtmError, ParameterError
-from .evolution import EvolutionConfig, _check_cfg, charge, evolve, step_count
+from .evolution import charge, evolve, step_count
 from .fields import (
     Grid,
     _atomic_write,
@@ -295,10 +296,16 @@ def _cmd_evolve(args) -> int:
     prefix = _resolve_out(p.value("out_prefix"))
 
     f = read_field_csv(field_path)
-    cfg = EvolutionConfig(dt=dt, t_end=t_end)
+    # all before snapshot 0 is written
+    if not math.isfinite(dt) or dt == 0:
+        raise ParameterError(f"dt must be finite and nonzero, got {dt}")
+    if not math.isfinite(t_end) or t_end <= 0:
+        raise ParameterError(f"t_end must be finite and positive, got {t_end}")
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    _check_cfg(f, cfg)      # before snapshot 0 is written
+    if abs(abs(dt) - f.grid.dx) > 1e-12 * f.grid.dx:
+        raise ParameterError(
+            f"characteristic transport requires |dt| = dx ({f.grid.dx}), got {dt}")
     n_steps = step_count(t_end, dt)
     series: list[tuple[float, float]] = []
     outputs: list[str] = []
@@ -307,7 +314,7 @@ def _cmd_evolve(args) -> int:
     for k in (*range(0, n_steps, stride), n_steps):    # t = 0, then each span's end
         if k > k_prev:
             t_evolve = time.perf_counter()
-            f = evolve(f, EvolutionConfig(dt=dt, t_end=(k - k_prev) * abs(dt)))
+            f = evolve(f, k - k_prev if dt > 0 else k_prev - k)
             evolve_s += time.perf_counter() - t_evolve
             k_prev = k
         path = f"{prefix}{len(series):04d}.csv"
@@ -344,6 +351,8 @@ def _cmd_stability(args) -> int:
                            perturbation_seed=p.value("seed"), t_end=p.value("t_end"),
                            pipeline=p.value("pipeline"), perturbation_shape=p.value("shape"),
                            grid=Grid.symmetric(p.value("grid_l"), p.value("grid_n")))
+    for eps in epsilons[1:]:
+        replace(cfg, epsilon=eps)       # checks the epsilon as the sweep will
     out_dir = _resolve_out(p.value("out_dir"))
     os.makedirs(out_dir, exist_ok=True)
     outputs: list[str] = []

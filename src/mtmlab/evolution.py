@@ -11,14 +11,15 @@ order and time-symmetric, and conserves the charge to rounding, with no
 solver tolerance.
 
 `step` is one Strang step L(dt/2) T L(dt/2), with L the local update and T
-the transport.  `evolve` merges the adjacent half updates of consecutive
-steps: it runs the s = round(t_end/|dt|) steps to t_end as one segment
-L(dt/2) T [L(dt) T]^(s-1) L(dt/2) on raw arrays, which is again symmetric,
-second order and charge-conserving, at about half the local updates; `step`
-is that segment with s = 1.  The result depends on where a run is split
-into segments at the O(dt^2) level, so a caller that needs the field at
-intermediate times evolves span by span, and evolving a field over the
-spans that another run took reproduces that run bit for bit.
+the transport.  `evolve` takes a whole number of steps s, the sign of s the
+direction of time, and merges the adjacent half updates of consecutive
+steps: it runs the |s| steps as one segment L(dt/2) T [L(dt) T]^(|s|-1)
+L(dt/2) on raw arrays, which is again symmetric, second order and
+charge-conserving, at about half the local updates; `step` is that segment
+with s = 1.  The result depends on where a run is split into segments at
+the O(dt^2) level, so a caller that needs the field at intermediate times
+evolves span by span, and evolving a field over the spans that another run
+took reproduces that run bit for bit.
 
 A segment allocates its arrays once, not once per step: the local updates
 run in place with ufunc `out=` arguments on a working copy of the input, and
@@ -30,32 +31,12 @@ trajectory is bit-identical to one evaluated as array expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
 from .errors import ParameterError
 from .fields import SpinorField, l2_norm_sq
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Time-stepping parameters: the step dt, with |dt| = dx of the grid, and t_end > 0."""
-
-    dt: float
-    t_end: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.dt) or self.dt == 0:
-            raise ParameterError(f"dt must be finite and nonzero, got {self.dt}")
-        if not math.isfinite(self.t_end) or self.t_end <= 0:
-            raise ParameterError(f"t_end must be finite and positive, got {self.t_end}")
-
-
-def _check_cfg(f: SpinorField, cfg: EvolutionConfig) -> None:
-    if abs(abs(cfg.dt) - f.grid.dx) > 1e-12 * f.grid.dx:
-        raise ParameterError(
-            f"characteristic transport requires |dt| = dx ({f.grid.dx}), got {cfg.dt}")
 
 
 def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,38 +117,38 @@ def _segment(u: np.ndarray, v: np.ndarray, dt: float, s: int) -> tuple[np.ndarra
     return u, v
 
 
-def step(f: SpinorField, cfg: EvolutionConfig) -> SpinorField:
-    """One Strang step: half local update, exact shift transport, half update.
+def step(f: SpinorField) -> SpinorField:
+    """One Strang step of dt = dx: half local update, exact shift transport, half update.
 
-    `cfg.t_end` is ignored: this is the one-cell segment, the unit that a
+    Equals `evolve(f, 1)`: this is the one-cell segment, the unit that a
     fourth-order composition of steps builds on, and the name that
-    `bench/tracing.py` wraps to count steps.  Negative dt reverses the
-    transport direction and the local updates, so stepping back retraces
-    the trajectory (time-symmetric scheme).
+    `bench/tracing.py` wraps to count steps.
     """
-    _check_cfg(f, cfg)
-    return SpinorField(f.grid, *_segment(f.u, f.v, cfg.dt, 1))
+    return SpinorField(f.grid, *_segment(f.u, f.v, f.grid.dx, 1))
 
 
 def step_count(t: float, dt: float) -> int:
     """The number of steps of size |dt| nearest to the horizon t: round(t/|dt|), ties to even.
 
-    The one rule by which `evolve`, `mtmlab evolve` and `run_experiment` snap
-    a time to a whole number of steps.
+    The one rule by which `mtmlab evolve` and `run_experiment` snap a time
+    to a whole number of steps.
     """
     return int(round(t / abs(dt)))
 
 
-def evolve(f0: SpinorField, cfg: EvolutionConfig) -> SpinorField:
-    """The field at t_end (within dt/2): s = round(t_end/|dt|) steps in one merged segment.
+def evolve(f0: SpinorField, steps: int) -> SpinorField:
+    """The field after |steps| Strang steps of dt = copysign(dx, steps), in one merged segment.
 
-    With s = 0 the input comes back unchanged.
+    A negative count runs backward in time, retracing a forward run of the
+    same spans (the scheme is time-symmetric); with steps = 0 the input
+    comes back unchanged.
     """
-    _check_cfg(f0, cfg)
-    n_steps = step_count(cfg.t_end, cfg.dt)
-    if n_steps == 0:
+    if not isinstance(steps, numbers.Integral):
+        raise ParameterError(f"steps must be an integer, got {steps!r}")
+    if steps == 0:
         return f0
-    return SpinorField(f0.grid, *_segment(f0.u, f0.v, cfg.dt, n_steps))
+    dt = math.copysign(f0.grid.dx, steps)
+    return SpinorField(f0.grid, *_segment(f0.u, f0.v, dt, abs(steps)))
 
 
 def charge(f: SpinorField) -> float:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .backlund import down_map, up_map, up_map_tangents
 from .errors import MtmError, ParameterError
-from .evolution import EvolutionConfig, charge, evolve, step_count
+from .evolution import charge, evolve, step_count
 from .fields import (
     Grid,
     SpinorField,
@@ -366,28 +367,29 @@ def _dogleg_step(g: np.ndarray, h: np.ndarray, radius: float):
     return p_cauchy + max(-aux / (2 * a), -2 * c / aux) * d, True
 
 
-def minimize(fun, x0, jac, hess) -> FitResult:
-    """Minimize the reconstruction-fit objective fun from x0 by Powell's dogleg method.
+def minimize(evaluate, x0) -> FitResult:
+    """Minimize the reconstruction-fit objective from x0 by Powell's dogleg method.
 
-    jac and hess give the gradient and a positive definite Hessian model at
-    a point; they are asked for only at the points the trust region accepts.
-    The radius starts at 1, is capped at 1000, shrinks 4x where a step gains
-    less than a quarter of its predicted decrease, and doubles where a
-    boundary step gains more than three quarters; a step is accepted where
-    it gains more than 0.15 of its prediction (Nocedal & Wright, Numerical
-    Optimization, section 4.1).  The iteration stops when the gradient norm
-    falls below FIT_GTOL, when the model predicts no decrease (the rounding
-    floor), at a Hessian that is not positive definite, or after 200
-    iterations per parameter.  `success` is the fit's converged rule: the
-    gradient is below FIT_GTOL or the Gauss-Newton step is at most
-    FIT_STEP_TOL, at a point off the FIT_PENALTY.  nfev counts the points
-    at which fun was evaluated.
+    evaluate(x) gives the objective point at x: its value `fun` and its
+    `derivatives`, the gradient and a positive definite Hessian model, which
+    are asked for only at the points the trust region accepts.  The radius
+    starts at 1, is capped at 1000, shrinks 4x where a step gains less than
+    a quarter of its predicted decrease, and doubles where a boundary step
+    gains more than three quarters; a step is accepted where it gains more
+    than 0.15 of its prediction (Nocedal & Wright, Numerical Optimization,
+    section 4.1).  The iteration stops when the gradient norm falls below
+    FIT_GTOL, when the model predicts no decrease (the rounding floor), at a
+    Hessian that is not positive definite, or after 200 iterations per
+    parameter.  `success` is the fit's converged rule: the gradient is below
+    FIT_GTOL or the Gauss-Newton step is at most FIT_STEP_TOL, at a point
+    off the FIT_PENALTY.  nfev counts the calls of evaluate.
     """
     # follows scipy.optimize._trustregion._minimize_trust_region with its
     # dogleg subproblem (BSD-3)
     x = np.array(x0, dtype=float)
-    f, g, h = fun(x), jac(x), hess(x)
-    x_seen, f_seen = x, f       # the last point evaluated
+    point = evaluate(x)
+    g, h = point.derivatives
+    x_trial, trial = x, point       # the last point evaluated
     nfev, radius = 1, 1.0
     for _ in range(200 * len(x)):
         if math.hypot(*g) < FIT_GTOL:
@@ -397,22 +399,22 @@ def minimize(fun, x0, jac, hess) -> FitResult:
             break
         x_new = x + p
         # near the rounding floor a shrunken step can round to the same point
-        if not np.array_equal(x_new, x_seen):
-            x_seen, f_seen = x_new, fun(x_new)
+        if not np.array_equal(x_new, x_trial):
+            x_trial, trial = x_new, evaluate(x_new)
             nfev += 1
-        f_new = f_seen
+        f = point.fun
         predicted = f - (f + np.dot(g, p) + 0.5 * np.dot(p, np.dot(h, p)))
         if predicted <= 0:
             break
-        rho = (f - f_new) / predicted
+        rho = (f - trial.fun) / predicted
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and on_boundary:
             radius = min(2 * radius, 1000.0)
         if rho > 0.15:
-            x, f = x_new, f_new
-            g, h = jac(x), hess(x)
-    return FitResult(x, f, f < FIT_PENALTY and _converged(g, h), nfev)
+            x, point = x_new, trial
+            g, h = point.derivatives
+    return FitResult(x, point.fun, point.fun < FIT_PENALTY and _converged(g, h), nfev)
 
 
 def _converged(g: np.ndarray, h: np.ndarray) -> bool:
@@ -457,51 +459,41 @@ class _FitPoint:
         return grad, hess
 
 
+#: the objective point where up_map raises: zero gradient and unit Hessian,
+#: at a value that no accepted step can reach
+_PENALTY_POINT = SimpleNamespace(fun=FIT_PENALTY, derivatives=(np.zeros(2), np.eye(2)))
+
+
 def _fit_reconstruction(pq_t: SpinorField, jost, target: SpinorField, seed: tuple[float, float]):
     """Choose (a, theta) for the up map of pq_t under jost to best match target.
 
     Minimizes the _FitPoint objective, the norm-sum that cross_l2 reports,
     with `minimize`, the package's numpy port of the dogleg trust-region
-    method.  Where up_map raises, the objective is FIT_PENALTY with zero
-    gradient and unit Hessian, so a trial step there is rejected.
+    method.  Where up_map raises, evaluate returns _PENALTY_POINT, so a
+    trial step there is rejected.
 
     Returns (distance, a, theta, converged, evaluations), evaluations being
-    the number of up map calls.  `converged` is the status `minimize`
+    the number of up map calls: the sum of `nfev` over the runs, a restart
+    evaluating its start point once more.  `converged` is the status `minimize`
     reports: the gradient fell below FIT_GTOL or, since dogleg can stop at
     the rounding floor with a model that no longer predicts a decrease, the
     Gauss-Newton step at the returned point is at most FIT_STEP_TOL; a fit
     that ends on the penalty never converges.  An unconverged fit is
     restarted once from where it stopped.
     """
-    # only two points are kept: each holds several field-sized arrays, and
-    # minimize asks for derivatives right after an accepted point's value
-    @lru_cache(maxsize=2)
-    def evaluate(key: bytes) -> _FitPoint | None:
+    def evaluate(x) -> _FitPoint:
         try:
-            rec, tangents = up_map_tangents(pq_t, jost, *np.frombuffer(key))
+            rec, tangents = up_map_tangents(pq_t, jost, *x)
         except MtmError:
-            return None
+            return _PENALTY_POINT
         return _FitPoint(rec, target, tangents)
 
-    def point(x) -> _FitPoint | None:
-        return evaluate(np.asarray(x, dtype=float).tobytes())
-
-    def fun(x) -> float:
-        p = point(x)
-        return FIT_PENALTY if p is None else p.fun
-
-    def jac(x) -> np.ndarray:
-        p = point(x)
-        return np.zeros(2) if p is None else p.derivatives[0]
-
-    def hess(x) -> np.ndarray:
-        p = point(x)
-        return np.eye(2) if p is None else p.derivatives[1]
-
-    opt = minimize(fun, x0=seed, jac=jac, hess=hess)
+    opt = minimize(evaluate, seed)
+    evaluations = opt.nfev
     if not opt.success:
-        opt = minimize(fun, x0=opt.x, jac=jac, hess=hess)
-    return float(opt.fun), *opt.x, opt.success, evaluate.cache_info().misses
+        opt = minimize(evaluate, opt.x)
+        evaluations += opt.nfev
+    return float(opt.fun), *opt.x, opt.success, evaluations
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -533,11 +525,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     k_prev = 0
     for k in (step_count(t, dx) for t in cfg.sample_times()):
         if k > k_prev:
-            gap = EvolutionConfig(dt=dx, t_end=(k - k_prev) * dx)
             if do_direct:
-                f_t = evolve(f_t, gap)
+                f_t = evolve(f_t, k - k_prev)
             if do_back:
-                pq_t = evolve(pq_t, gap)
+                pq_t = evolve(pq_t, k - k_prev)
             k_prev = k
         t = k * dx
         chg = small = cross = float("nan")

@@ -2,27 +2,29 @@
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import numpy as np
 
 from mtmlab.cli import RunManifest
-from mtmlab.evolution import EvolutionConfig, evolve, step_count
+from mtmlab.evolution import evolve
 from mtmlab.fields import SpinorField
 from mtmlab.lax import EigenvectorRemainder
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector
 
 
-def evolve_spans(f0: SpinorField, dt: float, t_end: float, stride: int):
-    """Yield (t, field) at t = 0 and after every `stride` steps to t_end, one `evolve` per span.
+def evolve_spans(f0: SpinorField, steps: int, stride: int):
+    """Yield (t, field) at t = 0 and after every `stride` of |steps| steps, one `evolve` per span.
 
-    The last span is short when `stride` does not divide the step count.
+    A negative count runs backward.  The last span is short when `stride`
+    does not divide the step count.
     """
-    n_steps = step_count(t_end, dt)
+    dt = math.copysign(f0.grid.dx, steps)
     f, k_prev = f0, 0
-    for k in (*range(0, n_steps, stride), n_steps):
+    for k in (*range(0, abs(steps), stride), abs(steps)):
         if k > k_prev:
-            f = evolve(f, EvolutionConfig(dt=dt, t_end=(k - k_prev) * abs(dt)))
+            f = evolve(f, k - k_prev if steps > 0 else k_prev - k)
             k_prev = k
         yield k * dt, f
 

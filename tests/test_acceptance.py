@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mtmlab.backlund import backlund_transform, up_map
-from mtmlab.evolution import EvolutionConfig, charge, evolve
+from mtmlab.evolution import charge, evolve, step_count
 from mtmlab.fields import (
     Grid,
     SpinorField,
@@ -146,22 +146,20 @@ def test_criterion_7_evolution(grid):
     f0 = make_perturbed_initial(ExperimentConfig(gamma0=GAMMA0, epsilon=0.01,
                                                  perturbation_seed=0))
     c0 = charge(f0)
-    drifts = [abs(charge(f) - c0) / c0 for _, f in evolve_spans(f0, grid.dx, 20.0, 64)]
+    drifts = [abs(charge(f) - c0) / c0 for _, f in evolve_spans(f0, step_count(20.0, grid.dx), 64)]
     drift = max(drifts)
     # second-order soliton tracking under dt refinement
     errs = []
     for n in (2048, 4096, 8192):
         g = Grid.symmetric(30.0, n)
-        out = evolve(stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, g),
-                     EvolutionConfig(dt=g.dx, t_end=1.0))
+        out = evolve(stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, g), step_count(1.0, g.dx))
         t_n = round(1.0 / g.dx) * g.dx
         errs.append(combined_l2_distance(out, stationary_soliton(GAMMA0, 0, 0, t_n, g)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     # uniform-state exact solution
     gu = Grid(0.0, 0.008, 8)
     c0 = 0.5
-    uni = evolve(SpinorField(gu, np.full(8, c0 + 0j), np.full(8, c0 + 0j)),
-                 EvolutionConfig(dt=1e-3, t_end=1.0))
+    uni = evolve(SpinorField(gu, np.full(8, c0 + 0j), np.full(8, c0 + 0j)), 1000)
     uni_err = np.abs(uni.u - c0 * np.exp(1j * (1 + c0 ** 2))).max()
     wall = time.perf_counter() - t0
     ok = drift < 1e-6 and all(1.8 <= o <= 2.2 for o in orders) and uni_err < 1e-6 \
@@ -254,8 +252,8 @@ def test_criterion_10_property_suites(grid, rng):
     # evolver time reversal
     f0 = make_perturbed_initial(ExperimentConfig(gamma0=GAMMA0, epsilon=0.05,
                                                  perturbation_seed=3))
-    fwd = evolve(f0, EvolutionConfig(dt=grid.dx, t_end=5.0))
-    back = evolve(fwd, EvolutionConfig(dt=-grid.dx, t_end=5.0))
+    fwd = evolve(f0, step_count(5.0, grid.dx))
+    back = evolve(fwd, -step_count(5.0, grid.dx))
     reversal = combined_l2_distance(back, f0)
 
     # zero-curvature residual decreases at second order

@@ -15,7 +15,7 @@ from mtmlab.backlund import (
 from mtmlab.errors import DegenerateVectorError, GridMismatchError, ParameterError
 from mtmlab.fields import SpinorField, combined_l2_distance, l2_norm, l2_norm_sq
 from mtmlab.lax import JostPair, assemble_L, find_eigenvalue, solve_jost, solve_time_bvp
-from mtmlab.evolution import charge
+from mtmlab.evolution import charge, step_count
 from mtmlab.solitons import (
     csech,
     free_lax_vector,
@@ -240,7 +240,8 @@ def test_down_map_output_charge_conserved_under_evolution(grid, perturbed):
     res = find_eigenvalue(f, LAM0)
     pq0 = down_map(f, res)
     c0 = charge(pq0)
-    drifts = [abs(charge(g) - c0) / c0 for _, g in evolve_spans(pq0, grid.dx, 5.0, 32)]
+    drifts = [abs(charge(g) - c0) / c0
+              for _, g in evolve_spans(pq0, step_count(5.0, grid.dx), 32)]
     assert max(drifts) < 1e-6
 
 

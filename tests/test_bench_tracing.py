@@ -111,6 +111,9 @@ def test_stability_spans_see_every_sample():
     finally:
         restore()
     assert res.fits_not_converged == 0      # so no fit was restarted
+    # the package's evaluation count and the benchmark's are one number
+    assert tracer.counts["stability.fit.nfev"] == res.fit_evaluations
+    assert tracer.counts["stability.fit.converged"] == len(times)
     totals = tracer.totals()
     assert totals["evolution.evolve"]["calls"] == 2 * 2     # two gaps, two pipelines
     for name in ("stability.modulated_distance", "lax.solve_time_bvp", "lax.solve_jost",

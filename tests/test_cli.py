@@ -162,13 +162,26 @@ def test_evolve_subcommand(tmp_path):
     assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
 
-def test_evolve_wrong_dt_is_domain_error(tmp_path):
+@pytest.mark.parametrize("dt,t_end,stride,message", [
+    ("0", "1", "64", "dt must be finite and nonzero, got 0.0"),
+    ("nan", "1", "64", "dt must be finite and nonzero, got nan"),
+    ("inf", "1", "64", "dt must be finite and nonzero, got inf"),
+    ("0.5", "1", "64", "characteristic transport requires |dt| = dx (0.05859375), got 0.5"),
+    (repr(60.0 / 1024), "0", "64", "t_end must be finite and positive, got 0.0"),
+    (repr(60.0 / 1024), "-1", "64", "t_end must be finite and positive, got -1.0"),
+    (repr(60.0 / 1024), "1", "0", "stride must be >= 1, got 0"),
+])
+def test_evolve_rejects_a_bad_step_before_snapshot_0(tmp_path, capsys, dt, t_end, stride,
+                                                     message):
     field = tmp_path / "s.csv"
     run(["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", str(field)])
-    code = run(["evolve", "--field", str(field), "--dt", "0.5", "--t-end", "1",
-                "--out-prefix", str(tmp_path / "x_")])
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code = run(["evolve", "--field", str(field), "--dt", dt, "--t-end", t_end,
+                "--stride", stride, "--out-prefix", str(tmp_path / "x_")])
     assert code == 1
-    assert not list(tmp_path.glob("x_*"))
+    assert capsys.readouterr().err == f"error: ParameterError: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("stride_args,config", [
@@ -455,19 +468,36 @@ def test_repeated_epsilon_is_usage_error(tmp_path, capsys):
 
 
 def test_stability_sweep_reports_a_failed_epsilon(tmp_path, capsys):
-    """A failed epsilon is a stderr line, a `failed:` row and exit 1; the rest still run."""
+    """A failed epsilon is a stderr line, a `failed:` row and exit 1; the rest still run.
+
+    At eps = 50 the perturbation swamps the soliton, and the eigenvalue
+    search leaves the guess's neighborhood.
+    """
     out_dir = tmp_path / "sweepdir"
-    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,-0.01",
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,50",
                 "--t-end", "1", "--pipeline", "direct", "--grid-n", "1024",
                 "--out-dir", str(out_dir)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "stability: eps=-0.01 failed: epsilon must be finite and nonnegative" in err
+    assert "stability: eps=50.0 failed: secant iterate left the guess neighborhood" in err
     rows = [row.split(",") for row in (out_dir / "summary.csv").read_text().split("\n")[1:-1]]
-    assert [row[:2] for row in rows] == [
-        ["0.01", "ok"], ["-0.01", "failed: epsilon must be finite and nonnegative; got -0.01"]]
+    assert [row[0] for row in rows] == ["0.01", "50"]
+    assert rows[0][1] == "ok"
+    assert rows[1][1].startswith("failed: secant iterate left the guess neighborhood")
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "manifest.json", "records_eps0p01.csv", "summary.csv"]
+
+
+@pytest.mark.parametrize("epsilons", ("0.01,-1", "0.01,nan"))
+def test_every_epsilon_is_checked_before_the_directory(tmp_path, capsys, epsilons):
+    out_dir = tmp_path / "exp"
+    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", epsilons, "--t-end", "2",
+                "--grid-n", "256", "--out-dir", str(out_dir)])
+    assert code == 1
+    bad = epsilons.split(",")[1]
+    assert capsys.readouterr().err == (
+        f"error: ParameterError: epsilon must be finite and nonnegative, got {float(bad)}\n")
+    assert not out_dir.exists()
 
 
 def test_field_read_error_exit_code(tmp_path):

@@ -6,9 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from mtmlab.cli import main
 from mtmlab.errors import MtmError, ParameterError
-from mtmlab import evolution
 from mtmlab.evolution import (
-    EvolutionConfig,
     _local_update,
     _scratch,
     charge,
@@ -34,7 +32,7 @@ def perturbed(grid):
 
 def test_zero_field_fixed_point(grid):
     z = SpinorField.zero(grid)
-    out = step(z, EvolutionConfig(dt=grid.dx, t_end=grid.dx))
+    out = step(z)
     assert np.abs(out.u).max() == 0.0
     assert np.abs(out.v).max() == 0.0
 
@@ -45,7 +43,7 @@ def test_uniform_state_exact_solution(c0):
     # subflows commute on this state, so even c0 = 40 is solved to rounding
     g = Grid(0.0, 0.008, 8)
     f = SpinorField(g, np.full(8, c0 + 0j), np.full(8, c0 + 0j))
-    out = evolve(f, EvolutionConfig(dt=1e-3, t_end=1.0))
+    out = evolve(f, 1000)
     exact = c0 * np.exp(1j * (1 + c0 ** 2) * 1.0)
     assert np.abs(out.u - exact).max() < 1e-6
     assert np.abs(out.v - exact).max() < 1e-6
@@ -56,7 +54,7 @@ def test_soliton_tracking_second_order():
     for n in (2048, 4096, 8192):
         g = Grid.symmetric(30.0, n)
         f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g)
-        out = evolve(f0, EvolutionConfig(dt=g.dx, t_end=1.0))
+        out = evolve(f0, step_count(1.0, g.dx))
         t_n = round(1.0 / g.dx) * g.dx
         ref = stationary_soliton(np.pi / 2, 0.0, 0.0, t_n, g)
         errs.append(combined_l2_distance(out, ref))
@@ -70,13 +68,14 @@ def test_soliton_tracking_second_order():
 def test_charge_conserved_long_run(pert, stride):
     f0 = bumped_soliton(GRID, *pert)
     c0 = charge(f0)
-    drifts = [abs(charge(f) - c0) / c0 for _, f in evolve_spans(f0, GRID.dx, 20.0, stride)]
+    drifts = [abs(charge(f) - c0) / c0
+              for _, f in evolve_spans(f0, step_count(20.0, GRID.dx), stride)]
     assert max(drifts) < 1e-6
 
 
 def test_charge_conserved_per_step(grid, perturbed):
     c0 = charge(perturbed)
-    out = step(perturbed, EvolutionConfig(dt=grid.dx, t_end=grid.dx))
+    out = step(perturbed)
     assert abs(charge(out) - c0) / c0 < 1e-12
 
 
@@ -87,22 +86,21 @@ def test_time_reversal(pert, stride):
     # a whole number of segments near t = 5, so the backward run's segments
     # mirror the forward run's and retrace them
     f0 = bumped_soliton(GRID, *pert)
-    t_end = stride * (341 // stride) * GRID.dx
-    for _, fwd in evolve_spans(f0, GRID.dx, t_end, stride):
+    steps = stride * (341 // stride)
+    for _, fwd in evolve_spans(f0, steps, stride):
         pass
-    for _, back in evolve_spans(fwd, -GRID.dx, t_end, stride):
+    for _, back in evolve_spans(fwd, -steps, stride):
         pass
     assert combined_l2_distance(back, f0) < 1e-5
 
 
-def test_evolve_at_stride_one_chains_steps(grid, perturbed):
-    cfg = EvolutionConfig(dt=grid.dx, t_end=6 * grid.dx)
-    snaps = [f for _, f in evolve_spans(perturbed, cfg.dt, cfg.t_end, 1)]
+def test_evolve_at_stride_one_chains_steps(perturbed):
+    snaps = [f for _, f in evolve_spans(perturbed, 6, 1)]
     out = snaps[-1]
     assert len(snaps) == 7
     f = perturbed
     for snap in snaps[1:]:
-        f = step(f, cfg)
+        f = step(f)
         assert np.array_equal(snap.u, f.u) and np.array_equal(snap.v, f.v)
     assert np.array_equal(out.u, f.u) and np.array_equal(out.v, f.v)
 
@@ -123,27 +121,20 @@ def test_snapshot_restarts_reproduce_the_run(tmp_path, grid, perturbed, dt_sign)
              for i, row in enumerate(rows)]
     assert len(snaps) == 6
     for (t0, a), (t1, b) in zip(snaps, snaps[1:]):
-        c = evolve(a, EvolutionConfig(dt=dt, t_end=abs(t1 - t0)))
+        c = evolve(a, dt_sign * step_count(abs(t1 - t0), dt))
         assert np.array_equal(c.u, b.u) and np.array_equal(c.v, b.v)
 
 
 @pytest.mark.parametrize("k", (2, 3))
 @pytest.mark.parametrize("nudge", (-1e-9, 0.0, 1e-9))
-def test_callers_snap_a_horizon_to_the_same_step_count(tmp_path, monkeypatch, k, nudge):
+def test_callers_snap_a_horizon_to_the_same_step_count(tmp_path, k, nudge):
     # at (k + 1/2) dx the rounding tie goes to the even count, a nudge either side
-    # decides it; evolve, `mtmlab evolve` and run_experiment all take step_count's
+    # decides it; `mtmlab evolve` and run_experiment both take step_count's
     g = Grid.symmetric(30.0, 256)
     horizon = (k + 0.5 + nudge) * g.dx
     want = step_count(horizon, g.dx)
     assert want == (k if nudge < 0 or (nudge == 0 and k % 2 == 0) else k + 1)
-    segments = []
-    segment = evolution._segment
-    monkeypatch.setattr(evolution, "_segment",
-                        lambda u, v, dt, s: segments.append(s) or segment(u, v, dt, s))
     f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g)
-    evolve(f0, EvolutionConfig(dt=-g.dx, t_end=horizon))
-    assert segments == [want]
-
     write_field_csv(f0, str(tmp_path / "f0.csv"))
     assert main(["evolve", "--field", str(tmp_path / "f0.csv"), "--dt", repr(-g.dx),
                  "--t-end", repr(horizon), "--out-prefix", str(tmp_path / "run_")]) == 0
@@ -156,21 +147,21 @@ def test_callers_snap_a_horizon_to_the_same_step_count(tmp_path, monkeypatch, k,
 
 
 def test_translation_equivariance(grid, perturbed):
-    cfg = EvolutionConfig(dt=grid.dx, t_end=2.0)
+    steps = step_count(2.0, grid.dx)
     rolled = SpinorField(grid, np.roll(perturbed.u, 13), np.roll(perturbed.v, 13))
-    a = evolve(rolled, cfg)
-    b = evolve(perturbed, cfg)
+    a = evolve(rolled, steps)
+    b = evolve(perturbed, steps)
     assert np.abs(a.u - np.roll(b.u, 13)).max() < 1e-13
     assert np.abs(a.v - np.roll(b.v, 13)).max() < 1e-13
 
 
 def test_gauge_equivariance(grid, perturbed):
-    cfg = EvolutionConfig(dt=grid.dx, t_end=2.0)
+    steps = step_count(2.0, grid.dx)
     theta = 0.93
     rotated = SpinorField(grid, np.exp(1j * theta) * perturbed.u,
                           np.exp(1j * theta) * perturbed.v)
-    a = evolve(rotated, cfg)
-    b = evolve(perturbed, cfg)
+    a = evolve(rotated, steps)
+    b = evolve(perturbed, steps)
     assert np.abs(a.u - np.exp(1j * theta) * b.u).max() < 1e-12
 
 
@@ -179,13 +170,14 @@ def test_small_data_sup_norm_stays_bounded(grid):
     v = 0.03 * np.exp(-(grid.x - 2) ** 2 / 6) + 0j
     f0 = SpinorField(grid, u, v)
     s0 = sup_norm(f0)
-    peak = max(sup_norm(f) for _, f in evolve_spans(f0, grid.dx, 20.0, 32))
+    peak = max(sup_norm(f) for _, f in evolve_spans(f0, step_count(20.0, grid.dx), 32))
     assert peak <= 2 * s0
 
 
-def test_dt_must_match_dx(grid, perturbed):
-    with pytest.raises(ParameterError):
-        step(perturbed, EvolutionConfig(dt=0.5, t_end=1.0))
+@pytest.mark.parametrize("steps", (1.0, 2.5, "1", None))
+def test_step_count_must_be_an_integer(grid_small, steps):
+    with pytest.raises(ParameterError, match="steps must be an integer"):
+        evolve(SpinorField.zero(grid_small), steps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -196,7 +188,7 @@ def test_overflowing_field_raises_typed_error(grid):
     huge = SpinorField(grid, np.full(grid.n, 1e200 + 0j), np.full(grid.n, 1e200 + 0j))
     seen = []
     with pytest.raises(MtmError):
-        for _, f in evolve_spans(huge, grid.dx, 4 * grid.dx, 2):
+        for _, f in evolve_spans(huge, 4, 2):
             seen.append(f)
     assert len(seen) == 1
     assert all(np.isfinite(f.u).all() and np.isfinite(f.v).all() for f in seen)
@@ -250,21 +242,9 @@ def test_evolve_is_bit_identical_to_the_allocating_segment(gamma, shape, dt_sign
     # the in-place segment runs the oracle's ufuncs in the oracle's order, so
     # every snapshot matches to the bit, signed zeros of the zero field included
     f0 = _trajectory_field(gamma, shape)
-    dt = dt_sign * _TRAJECTORY_GRID.dx
-    snaps = [(f.u, f.v) for _, f in
-             evolve_spans(f0, dt, _TRAJECTORY_STEPS * _TRAJECTORY_GRID.dx, stride)]
-    want = allocating_trajectory(f0, dt, _TRAJECTORY_STEPS, stride)
+    snaps = [(f.u, f.v) for _, f in evolve_spans(f0, dt_sign * _TRAJECTORY_STEPS, stride)]
+    want = allocating_trajectory(f0, dt_sign * _TRAJECTORY_GRID.dx, _TRAJECTORY_STEPS, stride)
     assert len(snaps) == len(want)
     for (u, v), (wu, wv) in zip(snaps, want):
         assert u.tobytes() == wu.tobytes() and v.tobytes() == wv.tobytes()
 
-
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        EvolutionConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ParameterError):
-        EvolutionConfig(dt=0.1, t_end=-1.0)
-    for bad in (dict(dt=float("nan"), t_end=1.0), dict(dt=0.1, t_end=float("inf")),
-                dict(dt=float("inf"), t_end=1.0)):
-        with pytest.raises(ParameterError):
-            EvolutionConfig(**bad)

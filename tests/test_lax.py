@@ -33,6 +33,7 @@ from mtmlab.lax import (
 )
 from mtmlab import lax
 from mtmlab.solitons import SpectralParameter, soliton_eigenvector, stationary_soliton
+from mtmlab.evolution import step_count
 from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
 from helpers import evolve_spans, reconstruct
@@ -566,7 +567,7 @@ def small_field(grid):
 def test_time_bvp_matches_time_propagation(grid, small_field):
     # two independent constructions of the same Lax solution at t = 5
     lam = LAM0
-    fields = [f for _, f in evolve_spans(small_field, grid.dx, 5.0, 1)]
+    fields = [f for _, f in evolve_spans(small_field, step_count(5.0, grid.dx), 1)]
     t_n = (len(fields) - 1) * grid.dx
     pair0 = solve_time_bvp(small_field, lam, 0.0)
     pair_n = solve_time_bvp(fields[-1], lam, t_n)
@@ -585,7 +586,7 @@ def test_time_bvp_matches_time_propagation(grid, small_field):
 def test_time_bvp_boundary_amplitude_bound(grid, small_field):
     # ||varphi1 - e^{i t cos(g)/2}||_inf controlled by the small-field size
     lam = LAM0
-    fields = [f for _, f in evolve_spans(small_field, grid.dx, 10.0, 1)]
+    fields = [f for _, f in evolve_spans(small_field, step_count(10.0, grid.dx), 1)]
     t_n = (len(fields) - 1) * grid.dx
     pair = solve_time_bvp(fields[-1], lam, t_n)
     m1, _ = gauge_phases(fields[-1])

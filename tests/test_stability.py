@@ -311,8 +311,8 @@ def test_summary_csv_format():
 
 # -- reconstruction-fit status ------------------------------------------------------
 
-def _unconverged_minimize(fun, x0, **kwargs):
-    return FitResult(x=np.asarray(x0, dtype=float), fun=fun(x0), success=False, nfev=1)
+def _unconverged_minimize(evaluate, x0):
+    return FitResult(x=np.asarray(x0, dtype=float), fun=evaluate(x0).fun, success=False, nfev=1)
 
 
 @pytest.mark.parametrize("statuses, converged", (([False, True], True),
@@ -320,10 +320,10 @@ def _unconverged_minimize(fun, x0, **kwargs):
 def test_unconverged_fit_is_restarted_once(monkeypatch, grid_small, statuses, converged):
     starts = []
 
-    def fake_minimize(fun, x0, **kwargs):
+    def fake_minimize(evaluate, x0):
         starts.append(np.asarray(x0, dtype=float))
         x = starts[-1] + 0.25
-        return FitResult(x=x, fun=fun(x), success=statuses[len(starts) - 1], nfev=1)
+        return FitResult(x=x, fun=evaluate(x).fun, success=statuses[len(starts) - 1], nfev=1)
 
     monkeypatch.setattr(stability, "minimize", fake_minimize)
     zero = SpinorField.zero(grid_small)
@@ -411,7 +411,8 @@ def test_fit_on_the_penalty_is_unconverged(grid_small):
         zero, JostPair(P0.lam, zero, zero), target, (0.2, 0.1))
     assert ok is False
     assert dist == stability.FIT_PENALTY and (a, th) == (0.2, 0.1)
-    assert evaluations == 1
+    # the unconverged fit is restarted, and the restart evaluates its start again
+    assert evaluations == 2
 
 
 # -- the numpy solvers against SciPy's ----------------------------------------------
