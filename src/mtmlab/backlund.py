@@ -11,6 +11,7 @@ small field back into the soliton neighborhood.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -147,6 +148,40 @@ def _superpose(f_t: SpinorField, jost: JostPair, a: float, theta: float):
                       c1 * jost.right.u + c2 * jost.left.u,
                       c1 * jost.right.v + c2 * jost.left.v)
     return c1, c2, phi
+
+
+def superposition_parameters(psi: SpinorField, jost: JostPair) -> tuple[float, float]:
+    """(a, theta) with psi proportional to the _superpose vector of jost: its inverse.
+
+    Fits psi ~ c1 R + c2 L by least squares over every sample, each row
+    (one component at one sample) divided by its norm |(R_j, L_j)| so that
+    the growing and decaying tails weigh alike; rows where |(R_j, L_j)|^2 is
+    below DEGENERATE_FLOOR drop out.  Cramer's rule on the 2x2 normal
+    equations gives c1/c2, their determinant cancelling, and e^{a + i theta}
+    = c1/c2 because up_map does not change when its Lax vector is scaled.
+    Raises DegenerateVectorError unless c1/c2 is finite and nonzero, as for
+    a psi along one Jost solution.
+    """
+    if psi.grid != jost.left.grid:
+        raise GridMismatchError("Lax vector and Jost pair live on different grids")
+    r = np.concatenate((jost.right.u, jost.right.v))
+    l_ = np.concatenate((jost.left.u, jost.left.v))
+    b = np.concatenate((psi.u, psi.v))
+    mass = np.abs(r) ** 2 + np.abs(l_) ** 2
+    w = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > DEGENERATE_FLOOR)
+    # the normal matrix [[g11, g12], [conj(g12), g22]] and right side (h1, h2)
+    g11 = float(np.sum(w * np.abs(r) ** 2))
+    g22 = float(np.sum(w * np.abs(l_) ** 2))
+    g12 = complex(np.sum(w * np.conj(r) * l_))
+    h1 = complex(np.sum(w * np.conj(r) * b))
+    h2 = complex(np.sum(w * np.conj(l_) * b))
+    num = g22 * h1 - g12 * h2
+    den = g11 * h2 - g12.conjugate() * h1
+    ratio = num / den if den else math.inf
+    if not (math.isfinite(abs(ratio)) and ratio != 0):
+        raise DegenerateVectorError(
+            "Lax vector is not a superposition of both Jost solutions")
+    return math.log(abs(ratio)), math.atan2(ratio.imag, ratio.real)
 
 
 def up_map(f_t: SpinorField, jost: JostPair, a: float, theta: float) -> SpinorField:

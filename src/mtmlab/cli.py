@@ -322,7 +322,9 @@ def _cmd_evolve(args) -> int:
         write_field_csv(f, path)
         write_s += time.perf_counter() - t_write
         outputs.append(path)
-        series.append((k * dt if k else 0.0, charge(f)))    # 0 * dt is -0 for dt < 0
+        # the field steps by dx, which --dt may miss by 1e-12 relative; k = 0
+        # writes 0, not -0
+        series.append((k * math.copysign(f.grid.dx, dt) if k else 0.0, charge(f)))
     t_series = time.perf_counter()
     series_path = f"{prefix}series.csv"
     lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]
@@ -372,7 +374,8 @@ def _cmd_stability(args) -> int:
             print(f"stability: eps={row.epsilon} lambda={res.lam:.9g} "
                   f"secant iterations={res.eigen_iterations} "
                   f"fit evaluations={res.fit_evaluations} "
-                  f"|E|={res.evans_residual:.2e} max dist={row.max_dist:.4e}")
+                  f"|E|={res.evans_residual:.2e} max dist={row.max_dist:.4e} "
+                  f"theta drift={res.theta_drift:.3e}")
         else:
             tag = "%g" % row.epsilon    # repr where %g would merge two epsilons
             tag = tag if float(tag) == row.epsilon else repr(row.epsilon)

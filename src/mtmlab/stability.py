@@ -22,7 +22,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .backlund import down_map, up_map, up_map_tangents
+from .backlund import (
+    down_map,
+    pushforward_eigenvector,
+    superposition_parameters,
+    up_map,
+    up_map_tangents,
+)
 from .errors import MtmError, ParameterError
 from .evolution import charge, evolve, step_count
 from .fields import (
@@ -118,6 +124,8 @@ class ExperimentResult:
     fit_evaluations: int             # objective evaluations over the reconstruction fits
     eigen_iterations: int            # secant iterations of the eigenvalue search
     evans_residual: float            # |E| at the eigenvalue found
+    backlund_parameters: tuple[float, float]  # closed-form (a0, theta0) at t = 0 (nan if n/a)
+    theta_drift: float               # max |theta_fit(t) - theta0| (nan unless pipeline both)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +477,10 @@ def _fit_reconstruction(pq_t: SpinorField, jost, target: SpinorField, seed: tupl
 
     Minimizes the _FitPoint objective, the norm-sum that cross_l2 reports,
     with `minimize`, the package's numpy port of the dogleg trust-region
-    method.  Where up_map raises, evaluate returns _PENALTY_POINT, so a
-    trial step there is rejected.
+    method, started at seed: run_experiment passes the closed-form Backlund
+    parameters or the previous sample's fit, both within the evolver's
+    phase error of the optimum.  Where up_map raises, evaluate returns
+    _PENALTY_POINT, so a trial step there is rejected.
 
     Returns (distance, a, theta, converged, evaluations), evaluations being
     the number of up map calls: the sum of `nfev` over the runs, a restart
@@ -502,6 +512,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Sample times snap to steps k*dx.  Each field crosses the gap to the next
     sample step in one `evolve` call, one merged Strang segment; a repeated
     step measures the same fields again.
+
+    The Backlund leg computes the superposition parameters (a0, theta0) once,
+    in closed form, from the pushed-forward eigenvector and the t = 0 time-BVP
+    pair of the small field, which every sample at t = 0 reuses.  Time enters
+    the up map only through the pair's boundary phases, so (a0, theta0)
+    rebuild f_t at every t up to the evolver's error.  The reconstruction fit
+    of pipeline `both` starts at (a0, theta0), and each later fit at the
+    previous sample's fitted (a, theta), or at (a0, theta0) again after a fit
+    that did not converge.  `theta_drift` is the largest |theta - theta0|
+    over the fits, modulo 2 pi.
     """
     dx = cfg.grid.dx
     f0 = make_perturbed_initial(cfg)
@@ -514,9 +534,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     do_back = cfg.pipeline in ("backlund", "both")
 
     f_t, pq_t, pq0_norm = f0, None, float("nan")
+    a0 = th0 = float("nan")
     if do_back:
         pq_t = down_map(f0, eig)
         pq0_norm = l2_norm(pq_t)
+        jost0 = solve_time_bvp(pq_t, lam, 0.0)
+        a0, th0 = superposition_parameters(
+            pushforward_eigenvector(eig.eigenvector, p.gamma), jost0)
+        seed = (a0, th0)
+    theta_drift = 0.0 if do_direct and do_back else float("nan")
 
     records: list[ExperimentRecord] = []
     crosses: list[float] = []
@@ -537,14 +563,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fit = modulated_distance(f_t, p, t)
         if do_back:
             small = l2_norm(pq_t)
-            jost = solve_time_bvp(pq_t, lam, t)
+            jost = jost0 if k == 0 else solve_time_bvp(pq_t, lam, t)
             if do_direct:
-                # place the reconstruction at the direct field's orbit point,
-                # then refine (a, theta) against the direct field itself
-                seed_a = p.alpha * fit.a_star
-                seed_th = fit.theta_star - p.beta * p.nu * fit.a_star
-                cross, _, _, converged, evaluations = _fit_reconstruction(
-                    pq_t, jost, f_t, (seed_a, seed_th))
+                cross, a, th, converged, evaluations = _fit_reconstruction(
+                    pq_t, jost, f_t, seed)
+                seed = (a, th) if converged else (a0, th0)
+                theta_drift = max(theta_drift, abs(math.remainder(th - th0, 2 * math.pi)))
                 not_converged += not converged
                 fit_evaluations += evaluations
             else:
@@ -557,7 +581,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     return ExperimentResult(cfg, lam, tuple(records), tuple(crosses),
                             pq0_norm, not_converged, fit_evaluations,
-                            eig.iterations, eig.evans_residual)
+                            eig.iterations, eig.evans_residual, (a0, th0), theta_drift)
 
 
 # ---------------------------------------------------------------------------

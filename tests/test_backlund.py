@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from mtmlab.backlund import (
     _riccati_variable,
+    _superpose,
     backlund_transform,
     down_map,
     pushforward_eigenvector,
     riccati_residual,
+    superposition_parameters,
     up_map,
     up_map_tangents,
 )
@@ -89,7 +93,8 @@ def test_backlund_rejects_bad_parameters(grid):
     lambda f, phi: backlund_transform(f, phi, LAM0),
     lambda f, phi: riccati_residual(phi, f, LAM0),
     lambda f, phi: up_map(f, JostPair(LAM0, phi, phi), 0.0, 0.0),
-], ids=["backlund_transform", "riccati_residual", "up_map"])
+    lambda f, phi: superposition_parameters(phi, JostPair(LAM0, f, f)),
+], ids=["backlund_transform", "riccati_residual", "up_map", "superposition_parameters"])
 def test_grid_mismatch_is_typed(grid, grid_small, call):
     phi = SpinorField(grid_small, np.ones(grid_small.n, complex), np.ones(grid_small.n, complex))
     with pytest.raises(GridMismatchError):
@@ -292,6 +297,27 @@ def test_up_map_tangents_match_central_differences(small_field_at_t, a, theta):
         minus = up_map(pq, jost, a - da, theta - dth)
         for d, p, m in ((du[k], plus.u, minus.u), (dv[k], plus.v, minus.v)):
             assert np.abs((p - m) / (2 * h) - d).max() <= 1e-8 * np.abs(d).max()
+
+
+@settings(max_examples=50)
+@given(a=st.floats(-5.0, 5.0), theta=st.floats(-np.pi, np.pi))
+@example(a=0.0, theta=np.pi)
+def test_superposition_parameters_invert_superpose(small_field_at_t, a, theta):
+    pq, jost = small_field_at_t
+    psi = _superpose(pq, jost, a, theta)[2]
+    a_back, th_back = superposition_parameters(psi, jost)
+    assert abs(a_back - a) <= 1e-12
+    assert abs(math.remainder(th_back - theta, 2 * np.pi)) <= 1e-12
+
+
+def test_superposition_parameters_reject_a_single_jost_solution(small_field_at_t):
+    # psi along R alone has c2 = 0, along L alone c1 = 0, and a vanishing pair neither
+    pq, jost = small_field_at_t
+    for psi, pair in ((jost.right, jost), (jost.left, jost),
+                      (jost.right, JostPair(jost.lam, SpinorField.zero(pq.grid),
+                                            SpinorField.zero(pq.grid)))):
+        with pytest.raises(DegenerateVectorError, match="superposition"):
+            superposition_parameters(psi, pair)
 
 
 def test_round_trip_recovers_input(grid, perturbed):

@@ -224,6 +224,18 @@ def test_evolve_snapshots_match_the_allocating_trajectory(tmp_path, stride, dt_s
     assert series[1].split(",")[0] == "0"
 
 
+def test_evolve_times_are_steps_of_dx(tmp_path):
+    # --dt may miss dx by 1e-12 relative, but the field steps by dx: 4 steps
+    # of 60/256 = 0.234375 end at exactly 0.9375, where 4 * --dt would not
+    grid = Grid.symmetric(30.0, 256)
+    field = tmp_path / "s.csv"
+    run(["soliton", "--gamma", str(GAMMA), "--grid-n", "256", "--out", str(field)])
+    assert run(["evolve", "--field", str(field), "--dt", repr(grid.dx * (1 + 1e-13)),
+                "--t-end", "1", "--out-prefix", str(tmp_path / "run_")]) == 0
+    series = (tmp_path / "run_series.csv").read_text().strip().split("\n")
+    assert float(series[-1].split(",")[0]) == 0.9375
+
+
 def test_non_finite_inputs_are_typed_errors(tmp_path, capsys):
     field = tmp_path / "s.csv"
     run(["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", str(field)])
@@ -416,8 +428,10 @@ def test_stability_subcommand(tmp_path, capsys):
     iterations = int(out.split("secant iterations=")[1].split()[0])
     evaluations = int(out.split("fit evaluations=")[1].split()[0])
     evans = float(out.split("|E|=")[1].split()[0])
+    drift = float(out.split("theta drift=")[1].split()[0])
     assert 1 <= iterations <= MAX_SECANT_ITERATIONS and evans < EVANS_TOL
-    assert 2 <= evaluations <= 60   # two reconstruction fits; 33 measured
+    assert 0.0 <= drift < 1e-2
+    assert 2 <= evaluations <= 60   # two reconstruction fits; 8 measured
     lines = (out_dir / "records.csv").read_text().strip().split("\n")
     assert lines[0] == "t,charge,dist,a_star,theta_star,lambda_re,lambda_im,small_norm"
     assert len(lines) == 3   # t = 0 and t = 2 plus header
