@@ -20,7 +20,6 @@ from .solitons import (  # noqa: F401
     lorentz_boost,
     soliton_eigenvector,
     soliton_field,
-    stationary_soliton,
 )
 from .lax import (  # noqa: F401
     EigenResult,

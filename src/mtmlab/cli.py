@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import __version__
 from .backlund import backlund_transform, up_map
 from .errors import MtmError, ParameterError
@@ -32,12 +34,7 @@ from .fields import (
     write_lax_csv,
 )
 from .lax import find_eigenvalue, solve_time_bvp
-from .solitons import (
-    SpectralParameter,
-    lorentz_boost,
-    sample_spinor,
-    stationary_soliton_evaluator,
-)
+from .solitons import SpectralParameter, require_gamma, soliton_field
 from .stability import (
     PERTURBATION_SHAPES,
     PIPELINES,
@@ -170,6 +167,10 @@ class _Params:
                 raise SystemExit2(f"unknown key {key!r} in config file {args.config}")
         self.resolved: dict = {}
 
+    def given(self, key: str) -> bool:
+        """Whether a flag or the config file sets key."""
+        return getattr(self._args, key) is not None or key in self._config
+
     def value(self, key: str, required: bool = False):
         kind, default, _ = _COMMANDS[self._args.subcommand][2][key]
         raw, source = getattr(self._args, key), ""
@@ -196,24 +197,28 @@ def _cmd_soliton(args) -> int:
     p = _Params(args)
     lam_re = p.value("lambda_re")
     lam_im = p.value("lambda_im")
-    if lam_re is not None or lam_im is not None:
-        lam = complex(lam_re or 0.0, lam_im or 0.0)
-        sp = SpectralParameter(lam)
-        gamma, delta = sp.gamma, sp.delta
-        p.resolved.update({"gamma": gamma, "delta": delta})
-    else:
-        gamma = p.value("gamma", required=True)
+    if lam_re is None and lam_im is None:
+        gamma = require_gamma(p.value("gamma", required=True))
         delta = p.value("delta")
+        if not 0.0 < delta < math.inf:
+            raise ParameterError(f"delta must be positive and finite, got {delta}")
+        sp = SpectralParameter(delta * np.exp(0.5j * gamma))
+    else:
+        if lam_re is None or lam_im is None:
+            raise SystemExit2("--lambda-re and --lambda-im must be given together")
+        for key in ("gamma", "delta"):
+            if p.given(key):
+                raise SystemExit2(f"{_flag(key)} conflicts with --lambda-re/--lambda-im: "
+                                  "give gamma and delta, or lambda")
+        sp = SpectralParameter(complex(lam_re, lam_im))
+        p.resolved.update({"gamma": sp.gamma, "delta": sp.delta})
     a = p.value("a")
     theta = p.value("theta")
     t = p.value("t")
     grid = Grid.symmetric(p.value("grid_l"), p.value("grid_n"))
     out = _resolve_out(p.value("out"))
 
-    ev = stationary_soliton_evaluator(gamma, a, theta)
-    if delta != 1.0:
-        ev = lorentz_boost(ev, delta)
-    f = sample_spinor(ev, t, grid)
+    f = soliton_field(sp, t, grid, a, theta)
     write_field_csv(f, out)
     _write_manifest(out + ".manifest.json", "soliton", p.resolved, t0, [], [out])
     print(f"soliton: wrote {out} (charge = {charge(f):.12g})")
@@ -405,10 +410,10 @@ _GRID = {"grid_l": (float, _GRID_L, None), "grid_n": (int, _GRID_N, None)}
 _COMMANDS = {
     "soliton": ("sample a soliton orbit point to CSV", _cmd_soliton, {
         "gamma": (float, None, "width angle in (0, pi), radians"),
-        "delta": (float, 1.0, "boost parameter |lambda| (default 1)"),
+        "delta": (float, 1.0, "velocity parameter |lambda| (default 1)"),
         "lambda_re": (float, None, None),
         "lambda_im": (float, None, None),
-        "a": (float, 0.0, "spatial shift"),
+        "a": (float, 0.0, "lab-frame shift"),
         "theta": (float, 0.0, "gauge phase"),
         "t": (float, 0.0, "sample time"),
         **_GRID,

@@ -2,9 +2,16 @@
 
 The one-soliton family is parametrized by a nonzero complex spectral
 parameter lambda = delta * exp(i*gamma/2); gamma in (0, pi) sets the width
-and delta the velocity.  Space-time evaluators (callables (x, t) -> arrays)
-are provided alongside grid samplers so the Lorentz boost, which mixes x
-and t, can act on exact solutions.
+and delta the velocity.  With its orbit of lab-frame shifts a and gauge
+phases theta it is written once, in `soliton_evaluator`:
+
+    u = i/delta sin(gamma) sech(alpha (x + a + nu t) - i gamma/2) e^{i theta - i beta (t + nu x)}
+    v = -i delta sin(gamma) sech(alpha (x + a + nu t) + i gamma/2) e^{i theta - i beta (t + nu x)}
+
+delta = 1 is the stationary soliton.  Space-time evaluators (callables
+(x, t) -> arrays) are provided alongside grid samplers so the Lorentz
+boost, which mixes x and t, can act on exact solutions: it carries the
+delta = 1 member to the delta member of the same gamma.
 """
 
 from __future__ import annotations
@@ -91,35 +98,17 @@ class SpectralParameter:
 # space-time evaluators
 # ---------------------------------------------------------------------------
 
-def soliton_evaluator(p: SpectralParameter):
-    """Exact one-soliton solution as a callable (x, t) -> (u, v)."""
+def soliton_evaluator(p: SpectralParameter, a: float = 0.0, theta: float = 0.0):
+    """Exact one-soliton solution, shifted by a and gauge-rotated by theta, as (x, t) -> (u, v)."""
     require_gamma(p.gamma)
     s, d, al, be, nu, g = np.sin(p.gamma), p.delta, p.alpha, p.beta, p.nu, p.gamma
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
-        arg = al * (x + nu * t)
-        phase = np.exp(-1j * be * (t + nu * x))
+        arg = al * (x + a + nu * t)
+        phase = np.exp(1j * theta - 1j * be * (t + nu * x))
         u = 1j / d * s * csech(arg - 0.5j * g) * phase
         v = -1j * d * s * csech(arg + 0.5j * g) * phase
-        return u, v
-
-    return ev
-
-
-def stationary_soliton_evaluator(gamma: float, a: float = 0.0, theta: float = 0.0):
-    """Stationary soliton with spatial shift a and gauge phase theta.
-
-    u(x,t) = e^{i theta - i t cos(gamma)} u_gamma(x + a), likewise for v.
-    """
-    require_gamma(gamma)
-    s = np.sin(gamma)
-
-    def ev(x, t):
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * theta - 1j * t * np.cos(gamma))
-        u = 1j * s * csech((x + a) * s - 0.5j * gamma) * phase
-        v = -1j * s * csech((x + a) * s + 0.5j * gamma) * phase
         return u, v
 
     return ev
@@ -180,14 +169,10 @@ def sample_spinor(evaluator, t: float, grid: Grid) -> SpinorField:
     return SpinorField(grid, u, v)
 
 
-def soliton_field(p: SpectralParameter, t: float, grid: Grid) -> SpinorField:
-    """Sample the exact one-soliton solution at time t."""
-    return sample_spinor(soliton_evaluator(p), t, grid)
-
-
-def stationary_soliton(gamma: float, a: float, theta: float, t: float, grid: Grid) -> SpinorField:
-    """Sample the stationary soliton orbit point (gamma, a, theta) at time t."""
-    return sample_spinor(stationary_soliton_evaluator(gamma, a, theta), t, grid)
+def soliton_field(p: SpectralParameter, t: float, grid: Grid,
+                  a: float = 0.0, theta: float = 0.0) -> SpinorField:
+    """Sample the orbit point (a, theta) of the exact one-soliton solution at time t."""
+    return sample_spinor(soliton_evaluator(p, a, theta), t, grid)
 
 
 def free_lax_vector(p: SpectralParameter, t: float, grid: Grid) -> SpinorField:
@@ -217,5 +202,5 @@ def soliton_eigenvector_evaluator(gamma: float):
 
 
 def soliton_eigenvector(gamma: float, t: float, grid: Grid) -> SpinorField:
-    """Sample the decaying eigenvector attached to the stationary soliton."""
+    """Sample the decaying eigenvector attached to the delta = 1 soliton."""
     return sample_spinor(soliton_eigenvector_evaluator(gamma), t, grid)

@@ -42,7 +42,7 @@ from .solitons import (
     SpectralParameter,
     require_gamma,
     soliton_evaluator,
-    stationary_soliton,
+    soliton_field,
 )
 
 PERTURBATION_SHAPES = ("gaussian_bump", "random_fourier")
@@ -91,6 +91,11 @@ class ExperimentConfig:
             return tuple(self.times)
         k = int(math.floor(self.t_end / 2.0 + 1e-12))
         return tuple(2.0 * i for i in range(k + 1))
+
+    @cached_property
+    def p0(self) -> SpectralParameter:
+        """lambda0 = e^{i gamma0/2}: initial soliton, eigenvalue guess, lambda_err's origin."""
+        return SpectralParameter(np.exp(0.5j * self.gamma0))
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ def _perturbation_direction(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarr
 
 def make_perturbed_initial(cfg: ExperimentConfig) -> SpinorField:
     """Soliton plus a seeded smooth perturbation of exact combined L2 size epsilon."""
-    sol = stationary_soliton(cfg.gamma0, 0.0, 0.0, 0.0, cfg.grid)
+    sol = soliton_field(cfg.p0, 0.0, cfg.grid)
     if cfg.epsilon == 0.0:
         return sol
     du, dv = _perturbation_direction(cfg)
@@ -526,7 +531,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     dx = cfg.grid.dx
     f0 = make_perturbed_initial(cfg)
 
-    eig = find_eigenvalue(f0, np.exp(0.5j * cfg.gamma0))
+    eig = find_eigenvalue(f0, cfg.p0.lam)
     lam = eig.lam
     p = SpectralParameter(lam)
 
@@ -619,7 +624,6 @@ def sweep(cfg: ExperimentConfig, epsilons) -> SweepResult:
     Individual run failures are recorded in the row status and the sweep
     continues; slopes are fitted over the successful epsilon > 0 rows.
     """
-    lam0 = np.exp(0.5j * cfg.gamma0)
     rows: list[SweepRow] = []
     results: list[ExperimentResult | None] = []
     for eps in epsilons:
@@ -634,7 +638,7 @@ def sweep(cfg: ExperimentConfig, epsilons) -> SweepResult:
         finite_cross = [c for c in res.cross_l2 if not math.isnan(c)]
         rows.append(SweepRow(
             float(eps), "ok",
-            abs(res.lam - lam0),
+            abs(res.lam - cfg.p0.lam),
             res.pq0_norm,
             max_dist,
             max_dist / eps if eps > 0 else float("nan"),

@@ -35,14 +35,16 @@ from mtmlab.lax import LaxOperatorSample, assemble_A, assemble_L, solve_jost
 from mtmlab.solitons import (
     SpectralParameter,
     sample_spinor,
-    stationary_soliton,
-    stationary_soliton_evaluator,
+    soliton_evaluator,
+    soliton_field,
 )
+
+from helpers import polar
 
 
 def bumped_soliton(grid, amp, center, width, k, v_weight):
     """The gamma = pi/2 soliton plus a Gaussian bump in u and v_weight times it in v."""
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     bump = amp * np.exp(-(grid.x - center) ** 2 / width) * np.exp(1j * k * grid.x)
     return SpinorField(grid, sol.u + bump, sol.v + v_weight * bump)
 
@@ -80,7 +82,7 @@ def mtm_residual(gamma: float, n: int, t: float = 0.0) -> float:
     """
     g = Grid.symmetric(30.0, n)
     dt = g.dx
-    ev = stationary_soliton_evaluator(gamma)
+    ev = soliton_evaluator(polar(gamma))
     f0 = sample_spinor(ev, t, g)
     fp = sample_spinor(ev, t + dt, g)
     ut = (fp.u - f0.u) / dt
@@ -98,7 +100,7 @@ def zero_curvature_residual(gamma: float, lam: complex, n: int) -> float:
     """|| dA/dx - dL/dt + [A, L] || on the exact soliton, centered stencils."""
     g = Grid.symmetric(30.0, n)
     dt = g.dx
-    ev = stationary_soliton_evaluator(gamma)
+    ev = soliton_evaluator(polar(gamma))
     keys = ("a11", "a12", "a21", "a22")
     fm = sample_spinor(ev, -dt, g)
     f0 = sample_spinor(ev, 0.0, g)

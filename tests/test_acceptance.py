@@ -27,7 +27,6 @@ from mtmlab.solitons import (
     free_lax_vector,
     soliton_eigenvector,
     soliton_field,
-    stationary_soliton,
 )
 from mtmlab.stability import (
     ExperimentConfig,
@@ -84,7 +83,7 @@ def test_criterion_2_soliton_to_zero(grid):
     t0 = time.perf_counter()
     worst = 0.0
     for gamma in (np.pi / 4, np.pi / 2):
-        sol = stationary_soliton(gamma, 0.0, 0.0, 0.0, grid)
+        sol = soliton_field(polar(gamma), 0.0, grid)
         psi = soliton_eigenvector(gamma, 0.0, grid)
         out = backlund_transform(sol, psi, np.exp(0.5j * gamma))
         worst = max(worst, l2_norm(out))
@@ -109,8 +108,8 @@ def test_criterion_4_soliton_charge(grid):
     worst = 0.0
     cases = [soliton_field(polar(np.pi / 8, 2.0), 0.0, grid),
              soliton_field(polar(np.pi / 2, 1.0), 1.3, grid),
-             stationary_soliton(np.pi / 4, 0.9, 2.2, 0.7, grid),
-             stationary_soliton(3 * np.pi / 4, -1.1, 0.3, 0.0, grid)]
+             soliton_field(polar(np.pi / 4), 0.7, grid, 0.9, 2.2),
+             soliton_field(polar(3 * np.pi / 4), 0.0, grid, -1.1, 0.3)]
     gammas = (np.pi / 8, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
     for f, gamma in zip(cases, gammas):
         worst = max(worst, abs(l2_norm_sq(f) - 4 * gamma))
@@ -123,7 +122,7 @@ def test_criterion_4_soliton_charge(grid):
 def test_criterion_5_eigenvalue_recovery_and_scaling(grid, experiment):
     _, swept, _ = experiment
     t0 = time.perf_counter()
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(GAMMA0), 0.0, grid)
     res = find_eigenvalue(sol, LAM0 * (1 + 0.05j))
     recovery = abs(res.lam - LAM0)
     wall = time.perf_counter() - t0
@@ -152,9 +151,9 @@ def test_criterion_7_evolution(grid):
     errs = []
     for n in (2048, 4096, 8192):
         g = Grid.symmetric(30.0, n)
-        out = evolve(stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, g), step_count(1.0, g.dx))
+        out = evolve(soliton_field(polar(GAMMA0), 0.0, g), step_count(1.0, g.dx))
         t_n = round(1.0 / g.dx) * g.dx
-        errs.append(combined_l2_distance(out, stationary_soliton(GAMMA0, 0, 0, t_n, g)))
+        errs.append(combined_l2_distance(out, soliton_field(polar(GAMMA0), t_n, g)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     # uniform-state exact solution
     gu = Grid(0.0, 0.008, 8)

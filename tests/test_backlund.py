@@ -25,7 +25,6 @@ from mtmlab.solitons import (
     free_lax_vector,
     soliton_eigenvector,
     soliton_field,
-    stationary_soliton,
 )
 
 from oracles import bumped_soliton, collinearity_defect, perturbations, spatial_residual
@@ -36,7 +35,7 @@ LAM0 = np.exp(0.25j * np.pi)
 
 @pytest.fixture(scope="module")
 def perturbed(grid):
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     bump = np.exp(-(grid.x - 1.0) ** 2 / 4) * np.exp(0.3j * grid.x)
     bump /= 2 * np.sqrt(np.trapezoid(np.abs(bump) ** 2, grid.x))
 
@@ -58,7 +57,7 @@ def test_zero_to_soliton(grid, gamma, delta):
 
 
 def test_soliton_to_zero(grid):
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     psi = soliton_eigenvector(np.pi / 2, 0.0, grid)
     out = backlund_transform(sol, psi, LAM0)
     assert l2_norm(out) < 1e-6
@@ -66,7 +65,7 @@ def test_soliton_to_zero(grid):
 
 def test_prefactor_unit_modulus_when_cross_term_vanishes(grid):
     # phi = (1, 0): the cross term is zero, so |output| = |input| pointwise
-    sol = stationary_soliton(np.pi / 3, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 3), 0.0, grid)
     phi = SpinorField(grid, np.ones(grid.n), np.zeros(grid.n))
     out = backlund_transform(sol, phi, np.exp(np.pi / 6 * 1j))
     assert np.abs(np.abs(out.u) - np.abs(sol.u)).max() < 1e-12
@@ -199,7 +198,7 @@ def test_riccati_residual_below_the_eigenvalue_argument(grid, r, arg, pert):
 
 
 def test_riccati_rejects_random_data(grid, rng):
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     phi = SpinorField(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n),
                       np.ones(grid.n, complex))
     assert riccati_residual(phi, sol, LAM0) > 0.1
@@ -225,7 +224,7 @@ def test_riccati_residual_skips_the_stencil_of_an_invalid_sample(grid):
 # -- down map -------------------------------------------------------------------
 
 def test_down_map_exact_soliton(grid):
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     res = find_eigenvalue(sol, LAM0)
     assert l2_norm(down_map(sol, res)) < 1e-6
 

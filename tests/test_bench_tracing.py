@@ -6,9 +6,9 @@ import numpy as np
 
 from mtmlab import cli, lax, stability
 from mtmlab.fields import Grid, SpinorField, write_field_csv
-from mtmlab.solitons import stationary_soliton
+from mtmlab.solitons import soliton_field
 
-from helpers import load_bench_module
+from helpers import load_bench_module, polar
 
 
 def test_trace_sites_resolve_to_callables():
@@ -29,7 +29,7 @@ def test_lax_spans_see_the_eigenvalue_search():
     search builds no whole-line Jost pair, so solve_jost is not called.
     """
     tracing = load_bench_module("tracing")
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, Grid.symmetric(30.0, 512))
+    f = soliton_field(polar(np.pi / 2), 0.0, Grid.symmetric(30.0, 512))
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
@@ -52,7 +52,7 @@ def test_evolve_spans_see_every_snapshot(tmp_path):
     tracing = load_bench_module("tracing")
     grid = Grid.symmetric(30.0, 64)
     src = tmp_path / "f.csv"
-    write_field_csv(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid), str(src))
+    write_field_csv(soliton_field(polar(np.pi / 2), 0.0, grid), str(src))
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:

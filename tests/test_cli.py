@@ -47,11 +47,47 @@ def test_soliton_from_lambda_or_boost(tmp_path, args, lam):
     f = read_field_csv(str(out))
     p = SpectralParameter(lam)
     ref = soliton_field(p, 0.0, Grid.symmetric(30.0, 1024))
-    assert np.max(np.abs(f.u - ref.u)) < 1e-14     # 4.6e-16 measured
+    assert np.max(np.abs(f.u - ref.u)) < 1e-14     # 0 measured; 4.6e-16 via the boost
     assert np.max(np.abs(f.v - ref.v)) < 1e-14
     params = read_manifest(f"{out}.manifest.json").parameters
     assert params["gamma"] == pytest.approx(p.gamma, abs=1e-15)
     assert params["delta"] == pytest.approx(p.delta, abs=1e-15)
+
+
+@pytest.mark.parametrize("flags,config,named", [
+    (["--gamma", "1.0", "--lambda-re", "0.8", "--lambda-im", "0.8"], "", "--gamma"),
+    (["--delta", "2.0", "--lambda-re", "0.8", "--lambda-im", "0.8"], "", "--delta"),
+    (["--lambda-re", "0.8", "--lambda-im", "0.8"], "gamma = 1.0\n", "--gamma"),
+    (["--delta", "1.0"], "lambda-re = 0.8\nlambda-im = 0.8\n", "--delta"),
+    (["--lambda-re", "0.8"], "", "--lambda-im"),
+    (["--gamma", "1.0"], "lambda-im = 0.8\n", "--lambda-re"),
+], ids=["gamma-flag", "delta-flag", "gamma-config", "lambda-config", "lambda-re-only",
+        "lambda-im-only"])
+def test_soliton_conflicting_or_partial_parameters_are_usage_errors(tmp_path, capsys, flags,
+                                                                     config, named):
+    """gamma/delta with lambda, or one lambda part alone: exit 2, nothing written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "s.csv"
+    assert run(["soliton", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("args,named", [
+    (["--gamma", "1.0", "--delta", "0"], "delta"),
+    (["--gamma", "1.0", "--delta", "-1.2"], "delta"),
+    (["--gamma", "0"], "gamma"),
+    (["--gamma", "3.2"], "gamma"),
+    (["--lambda-re", "0", "--lambda-im", "0"], "lambda"),
+])
+def test_soliton_bad_parameter_is_typed_error(tmp_path, capsys, args, named):
+    """A parameter outside the soliton family: exit 1 naming it, nothing written."""
+    assert run(["soliton", *args, "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and named in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],

@@ -15,10 +15,10 @@ from mtmlab.evolution import (
     step_count,
 )
 from mtmlab.fields import Grid, SpinorField, combined_l2_distance, read_field_csv, write_field_csv
-from mtmlab.solitons import stationary_soliton
+from mtmlab.solitons import soliton_field
 from mtmlab.stability import ExperimentConfig, make_perturbed_initial, run_experiment
 
-from helpers import evolve_spans
+from helpers import evolve_spans, polar
 from oracles import allocating_trajectory, bumped_soliton, perturbations, sup_norm
 
 
@@ -53,10 +53,10 @@ def test_soliton_tracking_second_order():
     errs = []
     for n in (2048, 4096, 8192):
         g = Grid.symmetric(30.0, n)
-        f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g)
+        f0 = soliton_field(polar(np.pi / 2), 0.0, g)
         out = evolve(f0, step_count(1.0, g.dx))
         t_n = round(1.0 / g.dx) * g.dx
-        ref = stationary_soliton(np.pi / 2, 0.0, 0.0, t_n, g)
+        ref = soliton_field(polar(np.pi / 2), t_n, g)
         errs.append(combined_l2_distance(out, ref))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.8 <= o <= 2.2 for o in orders)
@@ -134,7 +134,7 @@ def test_callers_snap_a_horizon_to_the_same_step_count(tmp_path, k, nudge):
     horizon = (k + 0.5 + nudge) * g.dx
     want = step_count(horizon, g.dx)
     assert want == (k if nudge < 0 or (nudge == 0 and k % 2 == 0) else k + 1)
-    f0 = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g)
+    f0 = soliton_field(polar(np.pi / 2), 0.0, g)
     write_field_csv(f0, str(tmp_path / "f0.csv"))
     assert main(["evolve", "--field", str(tmp_path / "f0.csv"), "--dt", repr(-g.dx),
                  "--t-end", repr(horizon), "--out-prefix", str(tmp_path / "run_")]) == 0

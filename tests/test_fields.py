@@ -22,10 +22,11 @@ from mtmlab.fields import (
     write_lax_csv,
 )
 from mtmlab.lax import find_eigenvalue, null_vectors
-from mtmlab.solitons import soliton_eigenvector, stationary_soliton
+from mtmlab.solitons import soliton_eigenvector, soliton_field
 from mtmlab.stability import PERTURBATION_SHAPES, ExperimentConfig, make_perturbed_initial
 
 from oracles import EinsumCellSampler, format_rows_per_row, soliton_charge_quadrature
+from helpers import polar
 
 
 def test_grid_geometry(grid):
@@ -69,7 +70,7 @@ def test_charge_zero_field(grid):
 def test_soliton_charge_values(grid, gamma, expected):
     # oracle: int dy/(cosh y + cos g) = 2g/sin g gives charge 4g
     assert soliton_charge_quadrature(gamma) == pytest.approx(4 * gamma, abs=1e-10)
-    f = stationary_soliton(gamma, 0.0, 0.0, 0.0, grid)
+    f = soliton_field(polar(gamma), 0.0, grid)
     assert l2_norm_sq(f) == pytest.approx(expected, abs=1e-8)
 
 
@@ -117,11 +118,11 @@ def test_inner_product_null_vector_pairings(grid):
 
 
 def test_quadrature_domain_enlargement(grid):
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    f = soliton_field(polar(np.pi / 2), 0.0, grid)
     c30 = l2_norm_sq(f)
     n2 = int(round(80.0 / grid.dx))
     g2 = Grid(-40.0, -40.0 + n2 * grid.dx, n2)
-    c40 = l2_norm_sq(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, g2))
+    c40 = l2_norm_sq(soliton_field(polar(np.pi / 2), 0.0, g2))
     assert abs(c40 - c30) / c30 < 1e-10
 
 
@@ -168,7 +169,7 @@ def test_csv_roundtrip_keeps_non_dyadic_grid(tmp_path, x_min, x_max, n):
     the bounds.
     """
     grid = Grid(x_min, x_max, n)
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    f = soliton_field(polar(np.pi / 2), 0.0, grid)
     path = tmp_path / "f.csv"
     write_field_csv(f, str(path))
     f2 = read_field_csv(str(path))
@@ -319,7 +320,7 @@ def test_csv_reader_rejects_malformed_files(tmp_path, edit, reason):
     does not fix the grid.
     """
     path = tmp_path / "f.csv"
-    write_field_csv(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, Grid.symmetric(30.0, 16)),
+    write_field_csv(soliton_field(polar(np.pi / 2), 0.0, Grid.symmetric(30.0, 16)),
                     str(path))
     path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
     with warnings.catch_warnings():
@@ -330,7 +331,7 @@ def test_csv_reader_rejects_malformed_files(tmp_path, edit, reason):
 
 
 def test_combined_distance_sums_component_norms(grid):
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    f = soliton_field(polar(np.pi / 2), 0.0, grid)
     z = SpinorField.zero(grid)
     du = np.sqrt(l2_norm_sq(SpinorField(grid, f.u, np.zeros(grid.n))))
     dv = np.sqrt(l2_norm_sq(SpinorField(grid, f.v, np.zeros(grid.n))))

@@ -32,11 +32,11 @@ from mtmlab.lax import (
     solve_time_bvp,
 )
 from mtmlab import lax
-from mtmlab.solitons import SpectralParameter, soliton_eigenvector, stationary_soliton
+from mtmlab.solitons import SpectralParameter, soliton_eigenvector, soliton_field
 from mtmlab.evolution import step_count
 from mtmlab.stability import ExperimentConfig, make_perturbed_initial
 
-from helpers import evolve_spans, reconstruct
+from helpers import evolve_spans, polar, reconstruct
 from oracles import (
     collinearity_defect,
     full_line_eigenvector,
@@ -60,13 +60,13 @@ def gauge_phases(f):
 
 @pytest.fixture(scope="module")
 def soliton(grid):
-    return stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    return soliton_field(polar(np.pi / 2), 0.0, grid)
 
 
 @pytest.fixture(scope="module")
 def bump_family(grid):
     """Fixed-shape perturbed solitons for the epsilon scaling tests."""
-    sol = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(polar(np.pi / 2), 0.0, grid)
     bump = np.exp(-(grid.x - 1.0) ** 2 / 4) * np.exp(0.3j * grid.x)
     bump /= 2 * np.sqrt(np.trapezoid(np.abs(bump) ** 2, grid.x))
     out = {}
@@ -419,20 +419,20 @@ def test_find_eigenvalue_zero_field_fails(grid):
 
 def test_find_eigenvalue_fails_when_the_secant_leaves_the_guess(grid_small):
     """A guess far from the gamma = pi/8 eigenvalue e^{i pi/16} sends the secant away."""
-    f = stationary_soliton(np.pi / 8, 0.0, 0.0, 0.0, grid_small)
+    f = soliton_field(polar(np.pi / 8), 0.0, grid_small)
     with pytest.raises(NoEigenvalueError, match="left the guess neighborhood"):
         find_eigenvalue(f, np.exp(0.375j * np.pi))
 
 
 def test_find_eigenvalue_fails_without_convergence(grid_small, monkeypatch):
     monkeypatch.setattr(lax, "MAX_SECANT_ITERATIONS", 1)
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid_small)
+    f = soliton_field(polar(np.pi / 2), 0.0, grid_small)
     with pytest.raises(NoEigenvalueError, match="no convergence in 1 iterations"):
         find_eigenvalue(f, 1.05 * LAM0)
 
 
 def test_time_bvp_rejects_lambda_outside_the_first_quadrant(grid_small):
-    f = stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid_small)
+    f = soliton_field(polar(np.pi / 2), 0.0, grid_small)
     with pytest.raises(ParameterError, match="require arg"):
         solve_time_bvp(f, np.conj(LAM0), 0.0)
 
@@ -452,7 +452,7 @@ def test_null_vector_point_values(grid):
 def test_null_vectors_solve_their_systems(grid):
     phi, eta, xi = null_vectors(np.pi / 2, grid)
     assert abs(inner_product(eta, phi)) < 1e-8
-    op = assemble_L(stationary_soliton(np.pi / 2, 0.0, 0.0, 0.0, grid), LAM0)
+    op = assemble_L(soliton_field(polar(np.pi / 2), 0.0, grid), LAM0)
     assert spatial_residual(op, phi) < 1e-5
     # xi solves the same system; trim the exponentially growing edges
     assert spatial_residual(op, xi, trim=512) < 1e-3
@@ -490,7 +490,7 @@ def test_resolvent_solves_the_ode(grid):
                   np.exp(-(grid.x + 2) ** 2 / 8).astype(complex))
     f = project_P_hat(gamma, f)
     w = resolvent_solve(gamma, f)
-    op = assemble_L(stationary_soliton(gamma, 0.0, 0.0, 0.0, grid), np.exp(0.5j * gamma))
+    op = assemble_L(soliton_field(polar(gamma), 0.0, grid), np.exp(0.5j * gamma))
     r1 = d_dx(w.u, grid) - (op.a11 * w.u + op.a12 * w.v) - f.u
     r2 = d_dx(w.v, grid) - (op.a21 * w.u + op.a22 * w.v) - f.v
     res = np.sqrt(grid.dx * np.sum(np.abs(r1[2:-2]) ** 2 + np.abs(r2[2:-2]) ** 2))

@@ -26,8 +26,7 @@ from mtmlab.lax import (
 from mtmlab.solitons import (
     SpectralParameter,
     soliton_evaluator,
-    stationary_soliton,
-    stationary_soliton_evaluator,
+    soliton_field,
 )
 from mtmlab.stability import (
     SCAN_HALFWIDTH,
@@ -60,7 +59,7 @@ def short_config(**kw):
 # -- modulated distance ---------------------------------------------------------
 
 def test_self_distance_vanishes(grid):
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(P0, 0.0, grid)
     fit = modulated_distance(sol, P0, 0.0)
     assert fit.dist < 1e-8
     assert abs(fit.a_star) < 1e-4
@@ -69,7 +68,7 @@ def test_self_distance_vanishes(grid):
 
 def test_recovers_shift_and_phase(grid):
     a0, th0 = 0.7, 1.1
-    ev = stationary_soliton_evaluator(GAMMA0)
+    ev = soliton_evaluator(P0)
     u, v = ev(grid.x - a0, 0.0)
     f = SpinorField(grid, np.exp(-1j * th0) * u, np.exp(-1j * th0) * v)
     fit = modulated_distance(f, P0, 0.0)
@@ -81,7 +80,7 @@ def test_recovers_shift_and_phase(grid):
 def test_distance_bounded_by_unmodulated(grid):
     cfg = short_config(epsilon=0.01)
     f = make_perturbed_initial(cfg)
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(P0, 0.0, grid)
     raw = combined_l2_distance(f, sol)
     fit = modulated_distance(f, P0, 0.0)
     assert 0.0 < fit.dist <= raw <= 0.02
@@ -127,7 +126,7 @@ def test_phase_convention(grid):
 
 
 def _shifted_soliton(grid):
-    ev = stationary_soliton_evaluator(GAMMA0)
+    ev = soliton_evaluator(P0)
     u, v = ev(grid.x - 0.7, 0.0)
     return SpinorField(grid, np.exp(-1.1j) * u, np.exp(-1.1j) * v), 0.0
 
@@ -184,7 +183,7 @@ def test_orbit_invariance(grid, perturbed_fit, m, th0):
 
 def test_epsilon_zero_gives_exact_soliton(grid):
     f = make_perturbed_initial(short_config(epsilon=0.0))
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(P0, 0.0, grid)
     assert np.abs(f.u - sol.u).max() == 0.0
 
 
@@ -192,14 +191,14 @@ def test_epsilon_zero_gives_exact_soliton(grid):
 def test_perturbation_scaled_exactly(grid, shape):
     cfg = short_config(epsilon=0.037, perturbation_shape=shape)
     f = make_perturbed_initial(cfg)
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(P0, 0.0, grid)
     assert combined_l2_distance(f, sol) == pytest.approx(0.037, abs=1e-12)
 
 
 def test_gaussian_support_decays(grid):
     cfg = short_config(epsilon=1.0)
     f = make_perturbed_initial(cfg)
-    sol = stationary_soliton(GAMMA0, 0.0, 0.0, 0.0, grid)
+    sol = soliton_field(P0, 0.0, grid)
     far = np.abs(grid.x) > 15.0
     assert np.abs(f.u - sol.u)[far].max() < 1e-10
     assert np.abs(f.v - sol.v)[far].max() < 1e-10
