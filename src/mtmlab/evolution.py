@@ -5,7 +5,8 @@ are exact index rotations (u transports rightward, v leftward), and the
 remaining local oscillator u' = i(v + u|v|^2), v' = i(u + v|u|^2) conserves
 |u|^2 + |v|^2 pointwise.  The local update splits that oscillator into two
 exactly solvable subflows, the linear mass rotation M and the nonlinear
-phase rotation N, and composes them as M(tau/2) N(tau) M(tau/2).  Both are
+phase rotation N (its unit phases from `unit_phase`, cos and sin of the
+real phase), and composes them as M(tau/2) N(tau) M(tau/2).  Both are
 pointwise unitary, so the update is explicit, exact per subflow, second
 order and time-symmetric, and conserves the charge to rounding, with no
 solver tolerance.
@@ -36,7 +37,7 @@ import numbers
 import numpy as np
 
 from .errors import ParameterError
-from .fields import SpinorField, l2_norm_sq
+from .fields import SpinorField, l2_norm_sq, unit_phase
 
 
 def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,15 +60,13 @@ def _local_update(u: np.ndarray, v: np.ndarray, tau: float, scratch) -> None:
     a, s = 2.0 * math.sin(0.25 * tau) ** 2, 1j * math.sin(0.5 * tau)
     w1, w2, phase = scratch
     _mass_rotation(u, v, a, s, w1, w2)
-    # e^{i tau |w|^2} as cos and sin of the real phase: bit-identical to np.exp
-    # of the imaginary argument at a fraction of its cost; |w|^2 is the square
+    # e^{i tau |w|^2} by `unit_phase` of the real phase; |w|^2 is the square
     # of np.abs(w), because re^2 + im^2 rounds differently
     for w, e in ((v, w1), (u, w2)):
         np.abs(w, out=phase)
         np.square(phase, out=phase)
         np.multiply(tau, phase, out=phase)
-        np.cos(phase, out=e.real)
-        np.sin(phase, out=e.imag)
+        unit_phase(phase, out=e)
     np.multiply(u, w1, out=u)
     np.multiply(v, w2, out=v)
     _mass_rotation(u, v, a, s, w1, w2)

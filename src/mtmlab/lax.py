@@ -5,20 +5,21 @@ gauge-transformed frame that removes the (i/4)(|u|^2-|v|^2) sigma3 term and
 the constant diagonal exponent, so the reduced unknowns stay O(1) and each
 one-sided solution is integrated in its numerically stable direction.  The
 gauge exponentials depend on the field alone and are computed once per
-field; per lambda and side, one RK4 transfer matrix per cell is built on
-flat entry arrays, in the order the side's scan meets them (the left side
-forward from x_min, the right side backward from the right edge), and the
-solution is carried through the transfers by a tree scan: pairwise
-products up a balanced tree, then the vector down it, about ncell 2x2
-products and ncell matrix-vector products per side.  An eigenvalue
-exists exactly when the two one-sided (Jost) solutions are collinear; the
-Evans function measures that at the matching point j0 and a complex secant
-iteration finds its roots.  The Evans function scans each side over its
-own half-line only, from its edge to j0, and reads the vector at j0 off
-one root-to-leaf path of that tree; the converged lambda's eigenvector is
-carried down the same half-line trees.  `solve_jost` keeps the whole-line
-two-sided scan that the Backlund up map and the time boundary-value
-problem need.
+field, as unit phases from cos and sin; per lambda, L's off-diagonal is
+formed once on the whole line, and per side one RK4 transfer matrix per
+cell is built from its slice on flat entry arrays, in the order the side's
+scan meets them (the left side forward from x_min, the right side backward
+from the right edge), and the solution is carried through the transfers
+by a tree scan: pairwise products up a balanced tree, then the vector down
+it, about ncell 2x2 products and ncell matrix-vector products per side.
+An eigenvalue exists exactly when the two one-sided (Jost) solutions are
+collinear; the Evans function measures that at the matching point j0 and
+a complex secant iteration finds its roots.  The Evans function scans each
+side over its own half-line only, from its edge to j0, and reads the
+vector at j0 off one root-to-leaf path of that tree; the converged
+lambda's eigenvector is carried down the same half-line trees.
+`solve_jost` keeps the whole-line two-sided scan that the Backlund up map
+and the time boundary-value problem need.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .fields import (
     inner_product,
     integrate,
     l2_norm,
+    unit_phase,
 )
 from .solitons import (  # noqa: F401  (csech stays a module attribute bench/tracing.py counts)
     SpectralParameter,
@@ -224,8 +226,11 @@ class _JostWorkspace:
     nearest x = 0.  `_levels` builds one side's transfers over a run of
     cells, in the order that side's scan meets them, and multiplies them up
     the tree; the whole-line `reduced` and the half-line scans both start
-    there.  `_halves` memoizes the half-line tree levels of the latest
-    lambda the Evans function was evaluated at.
+    there.  The gauge phase density, its sampler and the four unit-modulus
+    gauge arrays (from `unit_phase`) are formed once per field.  Per lambda,
+    L's off-diagonal at the cell nodes is formed once on the whole line, and
+    both sides and both half-lines slice it; `_off_diagonals` memoizes it
+    and `_halves` the half-line tree levels of the latest lambda.
     """
 
     def __init__(self, f: SpinorField):
@@ -236,14 +241,16 @@ class _JostWorkspace:
         self.u_nodes = cs.values(f.u, taus).T.copy()
         self.v_nodes = cs.values(f.v, taus).T.copy()
         self._halves: tuple | None = None
-        acc = gauge_transform(f)                           # (n,) at grid nodes
-        acc_nodes = (acc[:-1, None] + cs.cell_integrals(_phase_density(f), taus)).T
+        self._off_diagonals: tuple | None = None
+        density = _phase_density(f)
+        acc = cs.running_integral(density)                 # gauge_transform(f), at grid nodes
+        acc_nodes = (acc[:-1, None] + cs.cell_integrals(density, taus)).T
         # left-edge gauge m1 = e^{iA} and right-edge gauge m2 = e^{i(A_last - A)}
         # at the grid; p carries e^{-2iA} (left) or e^{2i(A_last - A)} (right)
-        self.m1 = np.exp(1j * acc)
-        self.m2 = np.exp(1j * (acc[-1] - acc))
-        self.e_left = np.exp(-2j * acc_nodes)
-        self.e_right = np.exp(2j * (acc[-1] - acc_nodes))
+        self.m1 = unit_phase(acc)
+        self.m2 = unit_phase(acc[-1] - acc)
+        self.e_left = unit_phase(-2.0 * acc_nodes)
+        self.e_right = unit_phase(2.0 * (acc[-1] - acc_nodes))
 
     def reduced(self, lam: complex, side: str) -> np.ndarray:
         """Reduced Jost trajectory (2, n) for the requested side."""
@@ -267,7 +274,7 @@ class _JostWorkspace:
         k1 = SpectralParameter(lam).k1
         forward = side == "left"
         e = (self.e_left if forward else self.e_right)[:, cells]
-        a12, a21 = _l_off_diagonal(self.u_nodes[:, cells], self.v_nodes[:, cells], lam)
+        a12, a21 = (a[:, cells] for a in self._off_diagonals_at(lam))
         p, q = a12 * e, a21 / e
         if forward != (k1.real > 0):
             # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
@@ -280,6 +287,15 @@ class _JostWorkspace:
             return _up_sweep(_rk4_transfer(*nodes, self.grid.dx)), init
         backward = _rk4_transfer(*nodes[::-1], -self.grid.dx)
         return _up_sweep([t[::-1] for t in backward]), init
+
+    def _off_diagonals_at(self, lam: complex):
+        """L's off-diagonal (a12, a21) at every cell's nodes, (3, ncell) each.
+
+        Both sides and both half-lines slice it; memoized for the latest lambda.
+        """
+        if self._off_diagonals is None or self._off_diagonals[0] != lam:
+            self._off_diagonals = (lam, *_l_off_diagonal(self.u_nodes, self.v_nodes, lam))
+        return self._off_diagonals[1:]
 
     def _half_levels(self, lam: complex):
         """Up-sweep levels and init of each side's scan toward j0.

@@ -8,6 +8,10 @@ phases theta it is written once, in `soliton_evaluator`:
     u = i/delta sin(gamma) sech(alpha (x + a + nu t) - i gamma/2) e^{i theta - i beta (t + nu x)}
     v = -i delta sin(gamma) sech(alpha (x + a + nu t) + i gamma/2) e^{i theta - i beta (t + nu x)}
 
+The arg alpha (x + a + nu t) is real, so v's sech is the conjugate of u's:
+an evaluation forms one complex exponential (one `csech`) and takes the
+phase as a `unit_phase`, with the bytes of the form written above.
+
 delta = 1 is the stationary soliton.  Space-time evaluators (callables
 (x, t) -> arrays) are provided alongside grid samplers so the Lorentz
 boost, which mixes x and t, can act on exact solutions: it carries the
@@ -22,16 +26,32 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .fields import Grid, SpinorField
+from .fields import Grid, SpinorField, unit_phase
 
 
 def csech(z: np.ndarray) -> np.ndarray:
-    """Complex sech via 2/(e^z + e^-z), argument-reduced to avoid overflow."""
+    """Complex sech via 2/(e^z + e^-z), argument-reduced to avoid overflow.
+
+    It is conjugation-symmetric, csech(conj z) = conj(csech z), bit for bit
+    but in the sign of an exact zero: the exponent, e^z's factors and the
+    Smith division round the same under conjugation, while a part that
+    cancels or underflows to 0 (Im at Re z = 0, both parts for |Re z| past
+    ~745) is +0 for z and for conj z alike.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    s = np.where(z.real >= 0, 1.0, -1.0)
-    # multiply through by e^{-s z} so every exponent has Re <= 0
-    ez = np.exp(-np.abs(z.real) - 1j * s * z.imag)
-    return 2.0 * ez / (1.0 + ez * ez)
+    # multiply through by e^{-s z}, s = +-1 the sign of Re z, so every
+    # exponent -|Re z| - i s Im z has Re <= 0; it is formed in one complex
+    # array, its imaginary part as 0 - s Im z, so that -0 reads +0
+    ez = np.empty(z.shape, dtype=np.complex128)
+    np.abs(z.real, out=ez.real)
+    np.negative(ez.real, out=ez.real)
+    np.multiply(np.where(z.real >= 0, 1.0, -1.0), z.imag, out=ez.imag)
+    np.subtract(0.0, ez.imag, out=ez.imag)
+    np.exp(ez, out=ez)
+    den = ez * ez
+    den += 1.0
+    ez *= 2.0
+    return ez / den
 
 
 def require_lambda(lam) -> complex:
@@ -106,9 +126,15 @@ def soliton_evaluator(p: SpectralParameter, a: float = 0.0, theta: float = 0.0):
     def ev(x, t):
         x = np.asarray(x, dtype=float)
         arg = al * (x + a + nu * t)
-        phase = np.exp(1j * theta - 1j * be * (t + nu * x))
-        u = 1j / d * s * csech(arg - 0.5j * g) * phase
-        v = -1j * d * s * csech(arg + 0.5j * g) * phase
+        phase = unit_phase(theta - be * (t + nu * x))
+        # sech(arg + i g/2) is the conjugate of sech(arg - i g/2), arg being
+        # real; adding 0 gives its exact zeros (at arg = 0 and where sech
+        # underflows) the sign +0 that csech's own rounding gives them
+        sech = csech(arg - 0.5j * g)
+        sech_v = np.conj(sech)
+        sech_v += 0.0
+        u = 1j / d * s * sech * phase
+        v = -1j * d * s * sech_v * phase
         return u, v
 
     return ev

@@ -36,6 +36,7 @@ from .fields import (
     SpinorField,
     integrate,
     l2_norm,
+    unit_phase,
 )
 from .lax import find_eigenvalue, solve_time_bvp
 from .solitons import (
@@ -137,10 +138,15 @@ class ExperimentResult:
 # modulated distance
 # ---------------------------------------------------------------------------
 
-def _orbit_distance(f: SpinorField, ev, t: float, a: float) -> tuple[float, float]:
-    """(distance, theta*) against the orbit point at shift a, optimal phase."""
+def _orbit_distance(f: SpinorField, ev, t: float, a: float,
+                    conj_f: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+    """(distance, theta*) against the orbit point at shift a, optimal phase.
+
+    conj_f is (conj(f.u), conj(f.v)) when the caller has formed it already.
+    """
     us, vs = ev(f.grid.x - a, t)
-    corr = complex(integrate(np.conj(f.u) * us + np.conj(f.v) * vs, f.grid))
+    cu, cv = conj_f if conj_f is not None else (np.conj(f.u), np.conj(f.v))
+    corr = complex(integrate(cu * us + cv * vs, f.grid))
     th = math.atan2(corr.imag, corr.real)
     ph = np.exp(-1j * th)
     du = np.sqrt(integrate(np.abs(f.u - ph * us) ** 2, f.grid))
@@ -172,7 +178,7 @@ def _shift_scan(f: SpinorField, ev, t: float) -> tuple[np.ndarray, np.ndarray]:
         return (run[n:] - run[:-n])[r]
 
     corr = cu + cv
-    ph = np.exp(-1j * np.angle(corr))
+    ph = unit_phase(-np.angle(corr))
     du2 = np.sum(np.abs(f.u) ** 2) + window_sq(us) - 2.0 * (ph * cu).real
     dv2 = np.sum(np.abs(f.v) ** 2) + window_sq(vs) - 2.0 * (ph * cv).real
     # du2, dv2 can cancel to slightly below 0 at an orbit point
@@ -269,12 +275,13 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     # the offset from a0: the bounded method's tolerance grows with |x|.
     # dist^2 is flat to rounding within ~1e-8 * dist of its minimum, and a
     # tolerance below that only adds golden-section steps.
-    offset = _bounded_brent(lambda d: _orbit_distance(f, ev, t, a0 + d)[0] ** 2,
+    conj_f = np.conj(f.u), np.conj(f.v)
+    offset = _bounded_brent(lambda d: _orbit_distance(f, ev, t, a0 + d, conj_f)[0] ** 2,
                             float(shifts[max(j - 1, 0)] - a0),
                             float(shifts[min(j + 1, len(shifts) - 1)] - a0),
                             xatol=1e-10 + 3e-7 * float(dists[j]))
     a_star = a0 + offset
-    dist, theta = _orbit_distance(f, ev, t, a_star)
+    dist, theta = _orbit_distance(f, ev, t, a_star, conj_f)
     return ModulationFit(dist, float(a_star), float(theta))
 
 

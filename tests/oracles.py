@@ -13,8 +13,10 @@ half-line scans replaced, the derivative-free Nelder-Mead reconstruction fit
 that the dogleg fit replaced, SciPy's dogleg and bounded Brent minimizers
 that the package's numpy ports of them replaced, the allocating local update
 and Strang segment (np.roll transport) that the in-place segment replaced,
-and the per-row CSV formatter that the one-pass writer replaced (adapted to
-emit the grid line the snapshots gained later).
+the per-row CSV formatter that the one-pass writer replaced (adapted to
+emit the grid line the snapshots gained later), and the three-exponential
+soliton evaluator (a csech each for u and v, the phase from np.exp) that
+the one-csech evaluator replaced.
 It also holds the perturbed-soliton family the property tests draw from.
 """
 
@@ -458,3 +460,28 @@ def format_rows_per_row(grid: Grid, c1, c2, header: str) -> str:
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
                      % (x[j], c1[j].real, c1[j].imag, c2[j].real, c2[j].imag))
     return "\n".join(lines) + "\n"
+
+
+def _csech_three_temporaries(z):
+    """Complex sech with its exponent built as three array expressions."""
+    z = np.asarray(z, dtype=np.complex128)
+    s = np.where(z.real >= 0, 1.0, -1.0)
+    ez = np.exp(-np.abs(z.real) - 1j * s * z.imag)
+    return 2.0 * ez / (1.0 + ez * ez)
+
+
+def three_exponential_soliton_evaluator(p: SpectralParameter, a: float = 0.0,
+                                        theta: float = 0.0):
+    """The one-soliton family with a csech of its own for each of u and v and
+    the phase from np.exp: three complex exponentials per evaluation."""
+    s, d, al, be, nu, g = np.sin(p.gamma), p.delta, p.alpha, p.beta, p.nu, p.gamma
+
+    def ev(x, t):
+        x = np.asarray(x, dtype=float)
+        arg = al * (x + a + nu * t)
+        phase = np.exp(1j * theta - 1j * be * (t + nu * x))
+        u = 1j / d * s * _csech_three_temporaries(arg - 0.5j * g) * phase
+        v = -1j * d * s * _csech_three_temporaries(arg + 0.5j * g) * phase
+        return u, v
+
+    return ev

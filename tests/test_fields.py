@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtmlab.backlund import backlund_transform
@@ -18,6 +18,7 @@ from mtmlab.fields import (
     l2_norm_sq,
     read_field_csv,
     read_lax_csv,
+    unit_phase,
     write_field_csv,
     write_lax_csv,
 )
@@ -200,6 +201,37 @@ def _finite_bit_patterns(seed: int, shape) -> np.ndarray:
 #: signed zeros, the smallest subnormals, the largest finite and the smallest normal
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324,
                 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, -0.0]
+
+
+@pytest.mark.parametrize("write,read", [(write_field_csv, read_field_csv),
+                                        (write_lax_csv, read_lax_csv)])
+def test_csv_roundtrip_keeps_the_sign_of_zero(tmp_path, write, read):
+    # row j holds -0 in re u, im u, re v, im v where bits 0, 1, 2, 3 of j are
+    # set: every sign pattern of the four slots once
+    grid = Grid.symmetric(30.0, 16)
+    j = np.arange(16)
+    parts = [np.where(j & (1 << b), -0.0, 0.0) for b in range(4)]
+    u, v = np.empty(16, dtype=np.complex128), np.empty(16, dtype=np.complex128)
+    u.real, u.imag, v.real, v.imag = parts
+    path = str(tmp_path / "zeros.csv")
+    write(SpinorField(grid, u, v), path)
+    back = read(path)
+    assert back.u.tobytes() == u.tobytes()
+    assert back.v.tobytes() == v.tobytes()
+
+
+@given(w=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64))
+@example(w=[0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6])
+def test_unit_phase_equals_complex_exp(w):
+    w = np.array(w)
+    want = np.exp(1j * w)
+    out = np.empty(len(w), dtype=np.complex128)
+    assert unit_phase(w, out=out) is out
+    for got in (unit_phase(w), out):
+        assert np.array_equal(got, want)
+        # bit for bit but at w = -0, where np.exp(1j * w) has imaginary part +0
+        exact = ~((w == 0) & np.signbit(w))
+        assert got[exact].tobytes() == want[exact].tobytes()
 
 
 @settings(max_examples=30)

@@ -343,6 +343,45 @@ def test_transfers_are_built_once_per_side_and_lambda(soliton, monkeypatch):
     assert sorted(builds) == [False, True]
 
 
+def test_shared_off_diagonal_is_keyed_on_lambda(monkeypatch):
+    """One workspace at lambda1, lambda2, lambda1 gives what fresh workspaces give, bit for bit.
+
+    L's off-diagonal is memoized for the latest lambda and sliced by both
+    sides and both half-lines: each Evans value at a new lambda builds it
+    once, and `solve_jost` at the latest lambda builds none, on either side.
+    """
+    grid = Grid.symmetric(30.0, 1024)
+    f = make_perturbed_initial(ExperimentConfig(gamma0=np.pi / 2, epsilon=0.1,
+                                                perturbation_seed=2, grid=grid))
+    lam1, lam2 = complex(0.9 * LAM0), complex(1.1 * np.exp(0.3j))
+    builds = []
+    off_diagonal = lax._l_off_diagonal
+
+    def counting(u, v, lam):
+        builds.append(lam)
+        return off_diagonal(u, v, lam)
+
+    monkeypatch.setattr(lax, "_l_off_diagonal", counting)
+    ws = lax._JostWorkspace(f)
+    got = [evans_function(f, lam, ws) for lam in (lam1, lam2, lam1)]
+    assert builds == [lam1, lam2, lam1]
+    shared_halves = ws.halves(lam1)
+    with monkeypatch.context() as m:
+        m.setattr(lax, "_JostWorkspace", lambda _f: ws)
+        shared_pair = solve_jost(f, lam1)
+    assert builds == [lam1, lam2, lam1]
+
+    want = [evans_function(f, lam, lax._JostWorkspace(f)) for lam in (lam1, lam2, lam1)]
+    assert got == want
+    fresh_halves = lax._JostWorkspace(f).halves(lam1)
+    for side_got, side_want in zip(shared_halves, fresh_halves):
+        for a, b in zip(side_got, side_want):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+    fresh_pair = solve_jost(f, lam1)
+    for a, b in ((shared_pair.left, fresh_pair.left), (shared_pair.right, fresh_pair.right)):
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
 def test_jost_edge_normalization(grid, soliton):
     pair = solve_jost(soliton, LAM0)
     k1 = P0.k1

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtmlab.errors import ParameterError
-from mtmlab.fields import combined_l2_distance, l2_norm_sq
+from mtmlab.fields import Grid, combined_l2_distance, l2_norm_sq
 from mtmlab.solitons import (
     SpectralParameter,
     csech,
@@ -17,7 +17,7 @@ from mtmlab.solitons import (
 )
 from mtmlab.lax import assemble_L
 
-from oracles import mtm_residual, spatial_residual
+from oracles import mtm_residual, spatial_residual, three_exponential_soliton_evaluator
 from helpers import polar
 
 
@@ -28,6 +28,41 @@ def test_csech_matches_reference():
     # argument reduction: no overflow far out, clean decay
     assert csech(np.array([800.0 + 0.3j]))[0] == 0.0
     assert abs(csech(np.array([-400.0]))[0]) < 1e-170
+
+
+@given(x=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=32),
+       gamma=st.floats(0.05, 3.09))
+@example(x=[0.0, -0.0, 1e-300, 760.0, -760.0], gamma=np.pi / 2)
+def test_csech_is_conjugation_symmetric(x, gamma):
+    # the soliton evaluator takes v's sech as the conjugate of u's
+    x = np.array(x)
+    for z in (x - 0.5j * gamma, x + 0.5j * gamma):
+        assert np.array_equal(csech(np.conj(z)), np.conj(csech(z)))
+
+
+@settings(max_examples=60)
+@given(gamma=st.floats(0.05, 3.09, exclude_min=True, exclude_max=True),
+       delta=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+       a=st.floats(-5.0, 5.0), theta=st.floats(-7.0, 7.0), t=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+@example(gamma=np.pi / 2, delta=1.0, a=0.0, theta=-0.0, t=0.0, seed=0)
+@example(gamma=1.2, delta=1.0, a=0.0, theta=-0.0, t=0.0, seed=1)
+@example(gamma=2.5, delta=1.7, a=0.0, theta=0.0, t=0.0, seed=2)
+def test_soliton_evaluator_equals_three_exponential_form(gamma, delta, a, theta, t, seed):
+    """One csech and a unit phase give the three-exponential form's bytes.
+
+    The points cover x < 0 and x > 0, both zeros (arg = 0 at a = t = 0),
+    and |x| far enough out for sech to underflow to 0.
+    """
+    p = polar(gamma, delta)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.sort(rng.uniform(-40.0, 40.0, 24)), [0.0, -0.0],
+                        Grid.symmetric(30.0, 64).x, np.linspace(-900.0, 900.0, 7)])
+    got = soliton_evaluator(p, a, theta)(x, t)
+    want = three_exponential_soliton_evaluator(p, a, theta)(x, t)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
 
 
 def test_spectral_parameter_derived_quantities():
