@@ -5,13 +5,13 @@ gauge-transformed frame that removes the (i/4)(|u|^2-|v|^2) sigma3 term and
 the constant diagonal exponent, so the reduced unknowns stay O(1) and each
 one-sided solution is integrated in its numerically stable direction.  The
 gauge exponentials depend on the field alone and are computed once per
-field, as unit phases from cos and sin; per lambda, L's off-diagonal is
-formed once on the whole line, and per side one RK4 transfer matrix per
-cell is built from its slice on flat entry arrays, in the order the side's
-scan meets them (the left side forward from x_min, the right side backward
-from the right edge), and the solution is carried through the transfers
-by a tree scan: pairwise products up a balanced tree, then the vector down
-it, about ncell 2x2 products and ncell matrix-vector products per side.
+field, as unit phases from cos and sin.  Per lambda, one call forms L's
+off-diagonal once and builds both sides' transfers from it on flat entry
+arrays, in the order each side's scan meets them (the left side forward
+from x_min, the right side backward from the right edge); the solution is
+carried through the transfers by a tree scan: pairwise products up a
+balanced tree, then the vector down it, about ncell 2x2 products and ncell
+matrix-vector products per side.
 An eigenvalue exists exactly when the two one-sided (Jost) solutions are
 collinear; the Evans function measures that at the matching point j0 and
 a complex secant iteration finds its roots.  The Evans function scans each
@@ -217,20 +217,25 @@ def _require_finite(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _carry(scans, sweep=_down_sweep):
+    """Both sides' reduced vectors from their (levels, init) by sweep, in grid order."""
+    (left, il), (right, ir) = scans
+    return _require_finite(sweep(left, il)), _require_finite(sweep(right, ir))[:, ::-1]
+
+
 class _JostWorkspace:
     """Per-field precomputation shared by repeated lambda solves.
 
     Each cell is crossed by one RK4 step, so the field and the gauge
     exponentials are needed at the cell start, midpoint and end (node
     arrays of shape (3, ncell)).  j0 is the matching point, the grid point
-    nearest x = 0.  `_levels` builds one side's transfers over a run of
-    cells, in the order that side's scan meets them, and multiplies them up
-    the tree; the whole-line `reduced` and the half-line scans both start
-    there.  The gauge phase density, its sampler and the four unit-modulus
-    gauge arrays (from `unit_phase`) are formed once per field.  Per lambda,
-    L's off-diagonal at the cell nodes is formed once on the whole line, and
-    both sides and both half-lines slice it; `_off_diagonals` memoizes it
-    and `_halves` the half-line tree levels of the latest lambda.
+    nearest x = 0.  The gauge phase density, its sampler and the four
+    unit-modulus gauge arrays (from `unit_phase`) are formed once per field.
+    `scans` is the one place a lambda's transfers are built: from one
+    evaluation of L's off-diagonal at the cell nodes it builds both sides'
+    scans, on the whole line for `reduced` or toward j0 for the Evans
+    function, and multiplies them up the tree.  `_halves` hands the latest
+    half-line scans of a search on to its eigenvector.
     """
 
     def __init__(self, f: SpinorField):
@@ -241,7 +246,6 @@ class _JostWorkspace:
         self.u_nodes = cs.values(f.u, taus).T.copy()
         self.v_nodes = cs.values(f.v, taus).T.copy()
         self._halves: tuple | None = None
-        self._off_diagonals: tuple | None = None
         density = _phase_density(f)
         acc = cs.running_integral(density)                 # gauge_transform(f), at grid nodes
         acc_nodes = (acc[:-1, None] + cs.cell_integrals(density, taus)).T
@@ -252,62 +256,48 @@ class _JostWorkspace:
         self.e_left = unit_phase(-2.0 * acc_nodes)
         self.e_right = unit_phase(2.0 * (acc[-1] - acc_nodes))
 
-    def reduced(self, lam: complex, side: str) -> np.ndarray:
-        """Reduced Jost trajectory (2, n) for the requested side."""
-        w = _require_finite(_down_sweep(*self._levels(lam, side, slice(None))))
-        return w if side == "left" else w[:, ::-1]
+    def scans(self, lam: complex, toward_j0: bool):
+        """Up-sweep levels and init of the left and the right scan at lam.
 
-    def _levels(self, lam: complex, side: str, cells: slice):
-        """Up-sweep levels of the side's RK4 transfers over `cells`, and its init.
-
-        side='left': factor exp(-x k1) off the solution recessive at -inf,
-        gauge accumulated from the left edge, init (0, 1); the scan runs
-        forward, in cell order.
-        side='right': factor exp(+x k1), gauge from the right edge, init
-        (1, 0); the scan runs backward, so its transfers are reversed.
-        Orientation with Re k1 > 0 swaps the factored envelopes.  The gauge
-        frame's off-diagonal entries are p = (i/2)(conj(u)/lam - conj(v) lam) e
-        and q = (i/2)(u/lam - v lam)/e, with e the chosen edge's node factor.
-        Every transfer depends on its own cell alone, so the transfers of
-        a slice equal those of the whole line there.
+        Both cross the whole line, or with toward_j0 the left one cells
+        [0, j0) and the right one [j0, ncell).  The left one factors
+        exp(-x k1) off the solution recessive at -inf, takes the gauge from
+        the left edge and init (0, 1), and runs forward; the right one
+        factors exp(+x k1), takes the gauge from the right edge and init
+        (1, 0), and runs backward, so its transfers are reversed.  Re k1 > 0
+        swaps the envelopes.  The gauge frame's off-diagonal is p = a12 e,
+        q = a21 / e, with e the edge's node factor; L's (a12, a21) is formed
+        once on the whole line and both sides slice it.
         """
         k1 = SpectralParameter(lam).k1
-        forward = side == "left"
-        e = (self.e_left if forward else self.e_right)[:, cells]
-        a12, a21 = (a[:, cells] for a in self._off_diagonals_at(lam))
-        p, q = a12 * e, a21 / e
-        if forward != (k1.real > 0):
-            # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
-            d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
-        else:
-            # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
-            d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
-        nodes = [(d0, p[j], q[j], d1) for j in range(3)]
-        if forward:
-            return _up_sweep(_rk4_transfer(*nodes, self.grid.dx)), init
-        backward = _rk4_transfer(*nodes[::-1], -self.grid.dx)
-        return _up_sweep([t[::-1] for t in backward]), init
+        a12, a21 = _l_off_diagonal(self.u_nodes, self.v_nodes, lam)
+        cells = (slice(0, self.j0), slice(self.j0, None)) if toward_j0 else (slice(None),) * 2
+        out = []
+        for forward, at, e in ((True, cells[0], self.e_left), (False, cells[1], self.e_right)):
+            p, q = a12[:, at] * e[:, at], a21[:, at] / e[:, at]
+            if forward != (k1.real > 0):
+                # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
+                d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
+            else:
+                # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
+                d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
+            nodes = [(d0, p[j], q[j], d1) for j in range(3)]
+            if forward:
+                transfers = _rk4_transfer(*nodes, self.grid.dx)
+            else:
+                transfers = [t[::-1] for t in _rk4_transfer(*nodes[::-1], -self.grid.dx)]
+            out.append((_up_sweep(transfers), init))
+        return out
 
-    def _off_diagonals_at(self, lam: complex):
-        """L's off-diagonal (a12, a21) at every cell's nodes, (3, ncell) each.
-
-        Both sides and both half-lines slice it; memoized for the latest lambda.
-        """
-        if self._off_diagonals is None or self._off_diagonals[0] != lam:
-            self._off_diagonals = (lam, *_l_off_diagonal(self.u_nodes, self.v_nodes, lam))
-        return self._off_diagonals[1:]
-
-    def _half_levels(self, lam: complex):
-        """Up-sweep levels and init of each side's scan toward j0.
-
-        The left scan runs forward over cells [0, j0), the right one
-        backward over [j0, ncell); both end at j0.  Memoized for the latest
-        lambda.
-        """
+    def _half_scans(self, lam: complex):
+        """`scans(lam, toward_j0=True)`, kept for the latest lambda only."""
         if self._halves is None or self._halves[0] != lam:
-            self._halves = (lam, self._levels(lam, "left", slice(0, self.j0)),
-                            self._levels(lam, "right", slice(self.j0, None)))
-        return self._halves[1:]
+            self._halves = (lam, self.scans(lam, toward_j0=True))
+        return self._halves[1]
+
+    def reduced(self, lam: complex):
+        """Both reduced Jost trajectories on the whole line, (2, n) each: left, right."""
+        return _carry(self.scans(lam, toward_j0=False))
 
     def original(self, lam: complex, side: str, w: np.ndarray, at: slice):
         """The side's solution (phi1, phi2) on grid slice `at` from reduced w there.
@@ -332,9 +322,7 @@ class _JostWorkspace:
         whole-line solutions do at j0.
         """
         at = slice(self.j0, self.j0 + 1)
-        (left, il), (right, ir) = self._half_levels(lam)
-        wl = _require_finite(_scan_end(left, il))
-        wr = _require_finite(_scan_end(right, ir))
+        wl, wr = _carry(self._half_scans(lam), _scan_end)
         return ([c[0] for c in self.original(lam, "left", wl, at)],
                 [c[0] for c in self.original(lam, "right", wr, at)])
 
@@ -343,9 +331,7 @@ class _JostWorkspace:
 
         Each side is carried down its own half-line tree only.
         """
-        (left, il), (right, ir) = self._half_levels(lam)
-        wl = _require_finite(_down_sweep(left, il))
-        wr = _require_finite(_down_sweep(right, ir))[:, ::-1]
+        wl, wr = _carry(self._half_scans(lam))
         return (self.original(lam, "left", wl, slice(0, self.j0 + 1)),
                 self.original(lam, "right", wr, slice(self.j0, None)))
 
@@ -371,9 +357,9 @@ def solve_jost(f: SpinorField, lam: complex) -> JostPair:
     lam = _require_split(lam)
     ws = _JostWorkspace(f)
     grid = ws.grid
-    everywhere = slice(None)
-    left = ws.original(lam, "left", ws.reduced(lam, "left"), everywhere)
-    right = ws.original(lam, "right", ws.reduced(lam, "right"), everywhere)
+    wl, wr = ws.reduced(lam)
+    left = ws.original(lam, "left", wl, slice(None))
+    right = ws.original(lam, "right", wr, slice(None))
     return JostPair(lam, SpinorField(grid, *left), SpinorField(grid, *right))
 
 

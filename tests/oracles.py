@@ -262,31 +262,33 @@ def propagate_sequential(transfers: np.ndarray, w0, forward: bool) -> np.ndarray
     return out
 
 
-def sequential_reduced(ws, lam: complex, side: str) -> np.ndarray:
+def sequential_reduced(ws, lam: complex):
     """Drop-in for `_JostWorkspace.reduced` on the cell-by-cell kernel.
 
-    Builds the (ncell, 3, 2, 2) gauge-frame matrices at the RK nodes from the
-    workspace's field samples and gauge factors, then runs
-    `rk4_transfer_matmul` and `propagate_sequential`; returns (2, n).
+    Builds each side's (ncell, 3, 2, 2) gauge-frame matrices at the RK nodes
+    from the workspace's field samples and gauge factors, then runs
+    `rk4_transfer_matmul` and `propagate_sequential`; returns the left and
+    the right reduced trajectories, (2, n) each.
     """
     k1 = SpectralParameter(lam).k1
-    forward = side == "left"
-    e = (ws.e_left if forward else ws.e_right).T
     u, v = ws.u_nodes.T, ws.v_nodes.T
-    m = np.zeros((u.shape[0], 3, 2, 2), dtype=np.complex128)
-    m[..., 0, 1] = 0.5j * (np.conj(u) / lam - np.conj(v) * lam) * e
-    m[..., 1, 0] = 0.5j * (u / lam - v * lam) / e
-    if forward != (k1.real > 0):
-        m[..., 0, 0] = 2.0 * k1        # envelope e^{-x k1}
-        init = (0.0, 1.0)
-    else:
-        m[..., 1, 1] = -2.0 * k1       # envelope e^{+x k1}
-        init = (1.0, 0.0)
-    if forward:
-        transfers = rk4_transfer_matmul(m[:, 0], m[:, 1], m[:, 2], ws.grid.dx)
-    else:
-        transfers = rk4_transfer_matmul(m[:, 2], m[:, 1], m[:, 0], -ws.grid.dx)
-    return propagate_sequential(transfers, init, forward).T
+    out = []
+    for forward, e in ((True, ws.e_left.T), (False, ws.e_right.T)):
+        m = np.zeros((u.shape[0], 3, 2, 2), dtype=np.complex128)
+        m[..., 0, 1] = 0.5j * (np.conj(u) / lam - np.conj(v) * lam) * e
+        m[..., 1, 0] = 0.5j * (u / lam - v * lam) / e
+        if forward != (k1.real > 0):
+            m[..., 0, 0] = 2.0 * k1        # envelope e^{-x k1}
+            init = (0.0, 1.0)
+        else:
+            m[..., 1, 1] = -2.0 * k1       # envelope e^{+x k1}
+            init = (1.0, 0.0)
+        if forward:
+            transfers = rk4_transfer_matmul(m[:, 0], m[:, 1], m[:, 2], ws.grid.dx)
+        else:
+            transfers = rk4_transfer_matmul(m[:, 2], m[:, 1], m[:, 0], -ws.grid.dx)
+        out.append(propagate_sequential(transfers, init, forward).T)
+    return tuple(out)
 
 
 def full_line_evans(f: SpinorField, lam: complex, _workspace=None) -> complex:

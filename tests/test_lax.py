@@ -216,10 +216,10 @@ def test_tree_scan_matches_sequential_propagation(n, monkeypatch):
     ws = lax._JostWorkspace(f)
     for lam in lams:
         swapped = SpectralParameter(lam).k1.real > 0
-        for side in ("left", "right"):
-            calls.clear()
-            got = ws.reduced(lam, side)
-            (transfers,) = calls
+        calls.clear()
+        reduced = ws.reduced(lam)
+        assert len(calls) == 2
+        for side, got, transfers in zip(("left", "right"), reduced, calls):
             scan = got if side == "left" else got[:, ::-1]
             w0 = (0.0, 1.0) if (side == "left") != swapped else (1.0, 0.0)
             stacked = np.moveaxis(np.reshape(transfers, (2, 2, n - 1)), -1, 0)
@@ -346,9 +346,10 @@ def test_transfers_are_built_once_per_side_and_lambda(soliton, monkeypatch):
 def test_shared_off_diagonal_is_keyed_on_lambda(monkeypatch):
     """One workspace at lambda1, lambda2, lambda1 gives what fresh workspaces give, bit for bit.
 
-    L's off-diagonal is memoized for the latest lambda and sliced by both
-    sides and both half-lines: each Evans value at a new lambda builds it
-    once, and `solve_jost` at the latest lambda builds none, on either side.
+    Each scan pair forms L's off-diagonal once and both sides slice it: an
+    Evans value builds one for its two half-lines, the eigenvector of the
+    latest lambda none (the half-line scans are handed on), and `solve_jost`
+    one for both whole-line sides.
     """
     grid = Grid.symmetric(30.0, 1024)
     f = make_perturbed_initial(ExperimentConfig(gamma0=np.pi / 2, epsilon=0.1,
@@ -366,10 +367,11 @@ def test_shared_off_diagonal_is_keyed_on_lambda(monkeypatch):
     got = [evans_function(f, lam, ws) for lam in (lam1, lam2, lam1)]
     assert builds == [lam1, lam2, lam1]
     shared_halves = ws.halves(lam1)
+    assert builds == [lam1, lam2, lam1]
     with monkeypatch.context() as m:
         m.setattr(lax, "_JostWorkspace", lambda _f: ws)
         shared_pair = solve_jost(f, lam1)
-    assert builds == [lam1, lam2, lam1]
+    assert builds == [lam1, lam2, lam1, lam1]
 
     want = [evans_function(f, lam, lax._JostWorkspace(f)) for lam in (lam1, lam2, lam1)]
     assert got == want
