@@ -24,6 +24,8 @@ from .solitons import SpectralParameter, require_gamma
 #: below this pointwise mass |phi1|^2+|phi2|^2 a Lax vector sample counts as
 #: vanished (a true solution that vanishes anywhere vanishes identically)
 DEGENERATE_FLOOR = 1e-280
+#: superposition_parameters takes a difference within this share of its terms as zero
+CANCELLATION_RTOL = 64 * 2.0 ** -52
 
 
 def _denominator(phi: SpinorField, gamma: float) -> tuple[complex, np.ndarray]:
@@ -159,8 +161,10 @@ def superposition_parameters(psi: SpinorField, jost: JostPair) -> tuple[float, f
     below DEGENERATE_FLOOR drop out.  Cramer's rule on the 2x2 normal
     equations gives c1/c2, their determinant cancelling, and e^{a + i theta}
     = c1/c2 because up_map does not change when its Lax vector is scaled.
-    Raises DegenerateVectorError unless c1/c2 is finite and nonzero, as for
-    a psi along one Jost solution.
+    Raises DegenerateVectorError when the numerator or the denominator of
+    c1/c2 cancels to within CANCELLATION_RTOL of its terms, as for a psi
+    along one Jost solution.  That accepts |a| up to about 35.2, where a
+    comes back to 1e-2 (1e-4 at |a| = 30, 4e-9 at 20, 2e-13 at 10).
     """
     if psi.grid != jost.left.grid:
         raise GridMismatchError("Lax vector and Jost pair live on different grids")
@@ -177,10 +181,12 @@ def superposition_parameters(psi: SpinorField, jost: JostPair) -> tuple[float, f
     h2 = complex(np.sum(w * np.conj(l_) * b))
     num = g22 * h1 - g12 * h2
     den = g11 * h2 - g12.conjugate() * h1
-    ratio = num / den if den else math.inf
-    if not (math.isfinite(abs(ratio)) and ratio != 0):
+    # along R alone den cancels to rounding, along L alone num
+    if (abs(num) <= CANCELLATION_RTOL * (abs(g22 * h1) + abs(g12 * h2))
+            or abs(den) <= CANCELLATION_RTOL * (abs(g11 * h2) + abs(g12 * h1))):
         raise DegenerateVectorError(
             "Lax vector is not a superposition of both Jost solutions")
+    ratio = num / den
     return math.log(abs(ratio)), math.atan2(ratio.imag, ratio.real)
 
 

@@ -175,44 +175,22 @@ def d_dx(arr: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cubic (4-point) interpolation and quadrature on cells
 # ---------------------------------------------------------------------------
-# Lagrange basis on nodes {0,1,2,3}; xi is the local coordinate inside the
-# stencil.  Used by the ODE integrators for O(dx^4) half-step values and
-# cumulative integrals.
+# Exact weights of the cubic through a cell's 4-point stencil, one integer row
+# per cell class (first, interior, last): its value at the cell midpoint (over
+# 16) and its integral over the first half cell (over 384) and the cell (over 24).
 
-_BASIS = np.array([
-    [-1.0, 6.0, -11.0, 6.0],   # w0 * 6
-    [3.0, -15.0, 18.0, 0.0],   # w1 * 6
-    [-3.0, 12.0, -9.0, 0.0],   # w2 * 6
-    [1.0, -3.0, 2.0, 0.0],     # w3 * 6
-]) / 6.0    # rows: basis k, columns: xi^3, xi^2, xi^1, xi^0
-
-
-def _basis_weights(xi: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange weights, shape xi.shape + (4,)."""
-    p = np.stack([xi ** 3, xi ** 2, xi, np.ones_like(xi)], axis=-1)
-    return p @ _BASIS.T
-
-
-def _basis_integral(xi: np.ndarray) -> np.ndarray:
-    """Antiderivatives of the basis from 0 to xi, shape xi.shape + (4,)."""
-    p = np.stack([xi ** 4 / 4, xi ** 3 / 3, xi ** 2 / 2, xi], axis=-1)
-    return p @ _BASIS.T
-
-
-#: stencil position xi0 of the cell start for the first, interior and last cells
-_CELL_XI0 = np.array([0.0, 1.0, 2.0])
+_MIDPOINT = np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]], dtype=float)
+_HALF_CELL = np.array([[119, 107, -43, 9], [-9, 155, 53, -7], [7, -37, 197, 25]], dtype=float)
+_FULL_CELL = np.array([[9, 19, -5, 1], [-1, 13, 13, -1], [1, -5, 19, 9]], dtype=float)
 
 
 class CellSampler:
-    """Fourth-order values and running integrals at fractional cell offsets.
+    """Fourth-order midpoint values and cell integrals from 4-point stencils.
 
-    For each cell j (between grid points j and j+1) a 4-point stencil is
-    chosen (clamped at the boundary); `values(f, taus)` evaluates the cubic
-    interpolant at x_j + tau*dx and `running_integral` accumulates
-    int_{x_min}^{x} f with O(dx^4) accuracy.  Every interior cell j uses
-    the stencil j-1..j+2 at xi = 1 + tau, so the weights exist once per call
-    for the three cell classes (first, interior, last) and the interior is
-    one (n-1, 4) @ (4, m) product, whose first and last rows are then redone.
+    Cell j lies between grid points j and j+1 and its stencil is the points
+    j-1..j+2, clamped to the first or last four points at the ends.  Each
+    rule is one row of exact weights per cell class, so the interior is one
+    (n-1, 4) @ (4,) product whose first and last rows are then redone.
     """
 
     def __init__(self, grid: Grid):
@@ -222,28 +200,24 @@ class CellSampler:
         self._gather = s[:, None] + np.arange(4)[None, :]     # (n-1, 4)
 
     def _apply(self, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Stencil sums for the weights w (3 cell classes, m, 4); shape (n-1, m)."""
+        """Stencil sums for the weights w (3 cell classes, 4); shape (n-1,)."""
         stencils = f[self._gather]                             # (n-1, 4)
-        out = stencils @ w[1].T
-        out[0] = stencils[0] @ w[0].T
-        out[-1] = stencils[-1] @ w[2].T
+        out = stencils @ w[1]
+        out[0] = stencils[0] @ w[0]
+        out[-1] = stencils[-1] @ w[2]
         return out
 
-    def values(self, f: np.ndarray, taus) -> np.ndarray:
-        """Interpolated f at x_j + tau*dx for every cell j; shape (n-1, len(taus))."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        return self._apply(f, _basis_weights(_CELL_XI0[:, None] + taus[None, :]))
+    def midpoints(self, f: np.ndarray) -> np.ndarray:
+        """Interpolated f at x_j + dx/2 for every cell j; shape (n-1,)."""
+        return self._apply(f, _MIDPOINT) / 16.0
 
-    def cell_integrals(self, f: np.ndarray, taus) -> np.ndarray:
-        """int_{x_j}^{x_j + tau*dx} f for every cell j; shape (n-1, len(taus))."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        w1 = _basis_integral(_CELL_XI0[:, None] + taus[None, :])
-        w0 = _basis_integral(_CELL_XI0)[:, None, :]
-        return self.grid.dx * self._apply(f, w1 - w0)
+    def half_cell_integrals(self, f: np.ndarray) -> np.ndarray:
+        """int_{x_j}^{x_j + dx/2} f for every cell j; shape (n-1,)."""
+        return self._apply(f, _HALF_CELL) * (self.grid.dx / 384.0)
 
     def running_integral(self, f: np.ndarray) -> np.ndarray:
         """Cumulative integral at the grid nodes, starting at 0 at x_min."""
-        cell = self.cell_integrals(f, (1.0,))[:, 0]
+        cell = self._apply(f, _FULL_CELL) * (self.grid.dx / 24.0)
         out = np.empty(self.grid.n, dtype=cell.dtype)
         out[0] = 0.0
         np.cumsum(cell, out=out[1:])
@@ -335,6 +309,12 @@ def _read_rows(path: str, expected_header: str):
         raise FieldValidationError(f"{path}: {e}") from None
     if data.shape[1] != 5:
         raise FieldValidationError(f"{path}: expected 5 columns, got {data.shape[1]}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FieldValidationError(
+            f"{path}: line {row + 3}, column {expected_header.split(',')[col]!r}: "
+            f"non-finite value {float(data[row, col])}")
     # Grid.x's points, computed here so that a snapshot's grid caches no copy
     if not np.array_equal(data[:, 0], grid.x_min + grid.dx * np.arange(grid.n)):
         raise FieldValidationError(f"{path}: the x column is not the grid its grid line states")

@@ -3,7 +3,9 @@
 The spatial spectral problem d/dx psi = L(u, v, lambda) psi is solved in a
 gauge-transformed frame that removes the (i/4)(|u|^2-|v|^2) sigma3 term and
 the constant diagonal exponent, so the reduced unknowns stay O(1) and each
-one-sided solution is integrated in its numerically stable direction.  The
+one-sided solution is integrated in its numerically stable direction.  One
+RK4 step crosses each cell; its start and end are grid samples and its
+midpoint values come from the exact cubic rules of `CellSampler`.  The
 gauge exponentials depend on the field alone and are computed once per
 field, as unit phases from cos and sin.  Per lambda, one call forms L's
 off-diagonal once and builds both sides' transfers from it on flat entry
@@ -242,13 +244,12 @@ class _JostWorkspace:
         self.grid = f.grid
         self.j0 = int(np.argmin(np.abs(f.grid.x)))
         cs = CellSampler(f.grid)
-        taus = (0.0, 0.5, 1.0)
-        self.u_nodes = cs.values(f.u, taus).T.copy()
-        self.v_nodes = cs.values(f.v, taus).T.copy()
+        self.u_nodes = np.stack((f.u[:-1], cs.midpoints(f.u), f.u[1:]))
+        self.v_nodes = np.stack((f.v[:-1], cs.midpoints(f.v), f.v[1:]))
         self._halves: tuple | None = None
         density = _phase_density(f)
         acc = cs.running_integral(density)                 # gauge_transform(f), at grid nodes
-        acc_nodes = (acc[:-1, None] + cs.cell_integrals(density, taus)).T
+        acc_nodes = np.stack((acc[:-1], acc[:-1] + cs.half_cell_integrals(density), acc[1:]))
         # left-edge gauge m1 = e^{iA} and right-edge gauge m2 = e^{i(A_last - A)}
         # at the grid; p carries e^{-2iA} (left) or e^{2i(A_last - A)} (right)
         self.m1 = unit_phase(acc)

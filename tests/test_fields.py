@@ -22,7 +22,7 @@ from mtmlab.fields import (
     write_field_csv,
     write_lax_csv,
 )
-from mtmlab.lax import find_eigenvalue, null_vectors
+from mtmlab.lax import _JostWorkspace, find_eigenvalue, gauge_transform, null_vectors
 from mtmlab.solitons import soliton_eigenvector, soliton_field
 from mtmlab.stability import PERTURBATION_SHAPES, ExperimentConfig, make_perturbed_initial
 
@@ -362,6 +362,23 @@ def test_csv_reader_rejects_malformed_files(tmp_path, edit, reason):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("col", [1, 2, 3, 4])
+@pytest.mark.parametrize("writer,reader,header", [
+    (write_field_csv, read_field_csv, FIELD_CSV_HEADER),
+    (write_lax_csv, read_lax_csv, LAX_CSV_HEADER)], ids=["field", "lax"])
+def test_csv_reader_names_a_non_finite_cell(tmp_path, writer, reader, header, col, value):
+    """A non-finite value cell is rejected with the file, its line and its column's name."""
+    path = tmp_path / "f.csv"
+    writer(soliton_field(polar(np.pi / 2), 0.0, Grid.symmetric(30.0, 16)), str(path))
+    path.write_text("".join(line + "\n" for line in _set_cell(6, col, value)(
+        path.read_text().splitlines())))
+    name = header.split(",")[col]
+    with pytest.raises(FieldValidationError) as exc:
+        reader(str(path))
+    assert str(exc.value) == f"{path}: line 7, column {name!r}: non-finite value {float(value)}"
+
+
 def test_combined_distance_sums_component_norms(grid):
     f = soliton_field(polar(np.pi / 2), 0.0, grid)
     z = SpinorField.zero(grid)
@@ -370,21 +387,74 @@ def test_combined_distance_sums_component_norms(grid):
     assert combined_l2_distance(f, z) == pytest.approx(du + dv, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 9, 1000])
-def test_cell_sampler_matches_per_cell_einsum(rng, n):
-    """The shared stencil weights reproduce the per-cell weight tensor.
+def _cubic(rng):
+    """A cubic in s = x/30 with coefficients in [-1, 1] + i[-1, 1], and its antiderivative in x."""
+    c = rng.uniform(-1.0, 1.0, size=4) + 1j * rng.uniform(-1.0, 1.0, size=4)
+    antiderivative = np.r_[0.0, c / [1, 2, 3, 4]]
+    return (lambda x: np.polynomial.polynomial.polyval(x / 30.0, c),
+            lambda x: 30.0 * np.polynomial.polynomial.polyval(x / 30.0, antiderivative))
 
-    Checked normwise over all cells and separately on the first and last
-    cells, whose clamped stencils use their own weights.
+
+@pytest.mark.parametrize("n", [8, 9, 1000, 4096])
+def test_cell_rules_are_exact_on_cubics(rng, n):
+    """Every cell class's midpoint, half-cell and whole-cell rule is exact on cubics.
+
+    The stencils of the first and last cells are clamped, so each class has
+    its own row; any wrong row shows as an O(dx) error at its cell.  The
+    whole-cell integrals are the steps of the running integral, which also
+    holds the cumulative sum's own rounding.
     """
     grid = Grid.symmetric(30.0, n)
-    f = rng.normal(size=n) + 1j * rng.normal(size=n)
-    taus = (0.0, 0.25, 0.5, 0.7, 1.0)
+    x, dx = grid.x, grid.dx
+    p, antiderivative = _cubic(rng)
+    cs = CellSampler(grid)
+    for got, want in ((cs.midpoints(p(x)), p(x[:-1] + 0.5 * dx)),
+                      (cs.half_cell_integrals(p(x)),
+                       antiderivative(x[:-1] + 0.5 * dx) - antiderivative(x[:-1])),
+                      (np.diff(cs.running_integral(p(x))), np.diff(antiderivative(x)))):
+        assert got.shape == want.shape
+        for row in (0, -1, slice(None)):
+            assert np.abs(got[row] - want[row]).max() <= 1e-13
+    running = cs.running_integral(p(x))
+    assert np.abs(running - (antiderivative(x) - antiderivative(x[0]))).max() <= 2e-12
+
+
+@pytest.mark.parametrize("n", [8, 9, 1000, 4096])
+def test_cell_rules_match_per_cell_einsum(rng, n):
+    """The exact cell rules agree with the per-cell Lagrange weights at tau = 1/2 and tau = 1.
+
+    Checked normwise over all cells and separately on the first and last
+    cells, whose clamped stencils use their own rows.  The samples lie in
+    [1, 2] + i[1, 2], so no cell's sum cancels and each cell's relative
+    difference measures its weights.  The last cell's whole-cell integral is
+    read off the running integral of a field that vanishes but on the last
+    stencil, so the sum it ends carries few terms.
+    """
+    grid = Grid.symmetric(30.0, n)
+    f = rng.uniform(1.0, 2.0, size=n) + 1j * rng.uniform(1.0, 2.0, size=n)
     cs, ref = CellSampler(grid), EinsumCellSampler(grid)
-    for got, want in ((cs.values(f, taus), ref.values(f, taus)),
-                      (cs.cell_integrals(f, taus), ref.cell_integrals(f, taus)),
-                      (cs.running_integral(f)[:, None], ref.running_integral(f)[:, None])):
+    tail = np.where(np.arange(n) >= n - 4, f, 0.0)
+    for got, want in ((cs.midpoints(f), ref.values(f, 0.5)[:, 0]),
+                      (cs.half_cell_integrals(f), ref.cell_integrals(f, 0.5)[:, 0]),
+                      (cs.running_integral(f), ref.running_integral(f)),
+                      (cs.running_integral(f)[1:2], ref.cell_integrals(f, 1.0)[:1, 0]),
+                      (np.diff(cs.running_integral(tail))[-1:],
+                       ref.cell_integrals(tail, 1.0)[-1:, 0])):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         for row in (0, -1):
-            assert np.abs(got[row] - want[row]).max() <= 1e-14 * np.abs(want[row]).max()
+            assert abs(got[row] - want[row]) <= 1e-14 * abs(want[row])
+
+
+def test_workspace_cell_ends_are_grid_samples(rng):
+    """The Jost workspace's cell starts and ends are the field and gauge samples bit for bit."""
+    grid = Grid.symmetric(30.0, 1000)
+    f = SpinorField(grid, rng.normal(size=1000) + 1j * rng.normal(size=1000),
+                    rng.normal(size=1000) + 1j * rng.normal(size=1000))
+    ws = _JostWorkspace(f)
+    acc = gauge_transform(f)
+    for nodes, samples in ((ws.u_nodes, f.u), (ws.v_nodes, f.v),
+                           (ws.e_left, unit_phase(-2.0 * acc)),
+                           (ws.e_right, unit_phase(2.0 * (acc[-1] - acc)))):
+        assert nodes[0].tobytes() == samples[:-1].tobytes()
+        assert nodes[2].tobytes() == samples[1:].tobytes()
