@@ -2,9 +2,9 @@
 
 Every invocation resolves its parameters with precedence
 flag > config file > `_COMMANDS` default, runs one subcommand, and writes a
-run manifest (resolved parameters, tool version, wall time, SHA-256 digests
-of inputs and outputs) beside the outputs.  Outputs are CSV for fields and
-time series, JSON for scalar results; all writes are atomic
+run manifest (resolved parameters, tool version, wall and stage times,
+SHA-256 digests of inputs and outputs) beside the outputs.  Outputs are CSV
+for fields and time series, JSON for scalar results; all writes are atomic
 (temp-and-rename) and bit-deterministic for fixed inputs and seed.
 """
 
@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -55,15 +56,18 @@ OUT_DIR_ENV = "MTMLAB_OUT_DIR"
 class RunManifest:
     """Reproducibility record written beside every subcommand's outputs.
 
-    `timings` holds per-stage wall times in seconds where the subcommand
-    measures them: `mtmlab eigen` records `read_s` (the field read),
-    `eigen_s` (the eigenvalue search) and `write_s` (the result and
-    eigenvector writes); `mtmlab backlund` records `read_s` (the field
-    read, and the eigenvector read going down), `backlund_s` (the down map,
-    or the time BVP and the up map) and `write_s` (the field write);
-    `mtmlab evolve` records `evolve_s` (the time spent in its `evolve`
-    calls, one per snapshot span) and `write_s` (the snapshot and series
-    writes).
+    `timings` holds each stage's wall time in seconds, per subcommand:
+
+    - soliton: `sample_s` (the sampling) and `write_s` (the field write);
+    - eigen: `read_s` (the field read), `eigen_s` (the eigenvalue search)
+      and `write_s` (the result and eigenvector writes);
+    - backlund: `read_s` (the field read, and the eigenvector read going
+      down), `backlund_s` (the down map, or the time BVP and the up map)
+      and `write_s` (the field write);
+    - evolve: `evolve_s` (its `evolve` calls, one per snapshot span) and
+      `write_s` (the snapshot and series writes);
+    - stability: `sweep_s` (the experiments, one per epsilon) and
+      `write_s` (the records and summary writes).
     """
 
     subcommand: str
@@ -84,21 +88,6 @@ def file_digest(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_manifest(path: str, subcommand: str, params: dict, t0: float,
-                    inputs: list[str], outputs: list[str],
-                    timings: dict | None = None) -> None:
-    man = RunManifest(
-        subcommand=subcommand,
-        parameters={k: v for k, v in sorted(params.items())},
-        tool_version=__version__,
-        wall_time_s=time.perf_counter() - t0,
-        inputs={p: file_digest(p) for p in inputs},
-        outputs={p: file_digest(p) for p in outputs},
-        timings=timings or {},
-    )
-    _atomic_write(path, man.to_json().encode())
 
 
 def _resolve_out(path: str) -> str:
@@ -149,14 +138,15 @@ def _parse(key: str, kind, raw: str | list[str], source: str):
             f"{_flag(key)}: invalid {kind.__name__} value: {raw!r}{source}") from None
 
 
-class _Params:
-    """One subcommand's parameters, resolved flag > config file > table default.
+class _Run:
+    """One subcommand's run: its parameters, its stage timings and its manifest.
 
-    Config-file strings and the strings of a repeatable flag go through
-    `_parse`; argparse has read every other flag.
+    Parameters resolve flag > config file > table default; `_parse` reads
+    config-file strings and a repeatable flag's, argparse every other flag.
     """
 
     def __init__(self, args: argparse.Namespace):
+        self._t0 = time.perf_counter()
         self._args = args
         try:
             self._config = load_config(args.config) if args.config else {}
@@ -166,6 +156,7 @@ class _Params:
             if key not in _COMMANDS[args.subcommand][2]:
                 raise SystemExit2(f"unknown key {key!r} in config file {args.config}")
         self.resolved: dict = {}
+        self.timings: dict = {}
 
     def given(self, key: str) -> bool:
         """Whether a flag or the config file sets key."""
@@ -183,6 +174,22 @@ class _Params:
         self.resolved[key] = val
         return val
 
+    @contextmanager
+    def stage(self, key: str):
+        """Add the wall time of the block to timings[key]."""
+        t = time.perf_counter()
+        yield
+        self.timings[key] = self.timings.get(key, 0.0) + (time.perf_counter() - t)
+
+    def finish(self, path: str, inputs: list[str], outputs: list[str]) -> None:
+        """Write the run manifest to path, its wall time counted from creation."""
+        man = RunManifest(subcommand=self._args.subcommand,
+                          parameters=dict(sorted(self.resolved.items())),
+                          tool_version=__version__, wall_time_s=time.perf_counter() - self._t0,
+                          inputs={p: file_digest(p) for p in inputs},
+                          outputs={p: file_digest(p) for p in outputs}, timings=self.timings)
+        _atomic_write(path, man.to_json().encode())
+
 
 class SystemExit2(Exception):
     """Usage error: reported on stderr with exit code 2."""
@@ -193,13 +200,12 @@ class SystemExit2(Exception):
 # ---------------------------------------------------------------------------
 
 def _cmd_soliton(args) -> int:
-    t0 = time.perf_counter()
-    p = _Params(args)
-    lam_re = p.value("lambda_re")
-    lam_im = p.value("lambda_im")
+    run = _Run(args)
+    lam_re = run.value("lambda_re")
+    lam_im = run.value("lambda_im")
     if lam_re is None and lam_im is None:
-        gamma = require_gamma(p.value("gamma", required=True))
-        delta = p.value("delta")
+        gamma = require_gamma(run.value("gamma", required=True))
+        delta = run.value("delta")
         if not 0.0 < delta < math.inf:
             raise ParameterError(f"delta must be positive and finite, got {delta}")
         sp = SpectralParameter(delta * np.exp(0.5j * gamma))
@@ -207,98 +213,84 @@ def _cmd_soliton(args) -> int:
         if lam_re is None or lam_im is None:
             raise SystemExit2("--lambda-re and --lambda-im must be given together")
         for key in ("gamma", "delta"):
-            if p.given(key):
+            if run.given(key):
                 raise SystemExit2(f"{_flag(key)} conflicts with --lambda-re/--lambda-im: "
                                   "give gamma and delta, or lambda")
         sp = SpectralParameter(complex(lam_re, lam_im))
-        p.resolved.update({"gamma": sp.gamma, "delta": sp.delta})
-    a = p.value("a")
-    theta = p.value("theta")
-    t = p.value("t")
-    grid = Grid.symmetric(p.value("grid_l"), p.value("grid_n"))
-    out = _resolve_out(p.value("out"))
+        run.resolved.update({"gamma": sp.gamma, "delta": sp.delta})
+    a = run.value("a")
+    theta = run.value("theta")
+    t = run.value("t")
+    grid = Grid.symmetric(run.value("grid_l"), run.value("grid_n"))
+    out = _resolve_out(run.value("out"))
 
-    f = soliton_field(sp, t, grid, a, theta)
-    write_field_csv(f, out)
-    _write_manifest(out + ".manifest.json", "soliton", p.resolved, t0, [], [out])
+    with run.stage("sample_s"):
+        f = soliton_field(sp, t, grid, a, theta)
+    with run.stage("write_s"):
+        write_field_csv(f, out)
+    run.finish(out + ".manifest.json", [], [out])
     print(f"soliton: wrote {out} (charge = {charge(f):.12g})")
     return 0
 
 
 def _cmd_eigen(args) -> int:
-    t0 = time.perf_counter()
-    p = _Params(args)
-    field_path = p.value("field", required=True)
-    guess = complex(p.value("guess_re", required=True),
-                    p.value("guess_im", required=True))
-    out_json = _resolve_out(p.value("out_json"))
-    out_vec = _resolve_out(p.value("out_eigenvector"))
+    run = _Run(args)
+    field_path = run.value("field", required=True)
+    guess = complex(run.value("guess_re", required=True),
+                    run.value("guess_im", required=True))
+    out_json = _resolve_out(run.value("out_json"))
+    out_vec = _resolve_out(run.value("out_eigenvector"))
 
-    t_read = time.perf_counter()
-    f = read_field_csv(field_path)
-    t_eigen = time.perf_counter()
-    res = find_eigenvalue(f, guess)
-    t_write = time.perf_counter()
-    payload = {
-        "lambda_re": res.lam.real,
-        "lambda_im": res.lam.imag,
-        "evans_residual": res.evans_residual,
-        "iterations": res.iterations,
-    }
-    _atomic_write(out_json, json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
-    write_lax_csv(res.eigenvector, out_vec)
-    timings = {"read_s": t_eigen - t_read, "eigen_s": t_write - t_eigen,
-               "write_s": time.perf_counter() - t_write}
-    _write_manifest(out_json + ".manifest.json", "eigen", p.resolved, t0,
-                    [field_path], [out_json, out_vec], timings)
+    with run.stage("read_s"):
+        f = read_field_csv(field_path)
+    with run.stage("eigen_s"):
+        res = find_eigenvalue(f, guess)
+    payload = {"lambda_re": res.lam.real, "lambda_im": res.lam.imag,
+               "evans_residual": res.evans_residual, "iterations": res.iterations}
+    with run.stage("write_s"):
+        _atomic_write(out_json, json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+        write_lax_csv(res.eigenvector, out_vec)
+    run.finish(out_json + ".manifest.json", [field_path], [out_json, out_vec])
     print(f"eigen: lambda = {res.lam.real:.12g} {res.lam.imag:+.12g}i "
           f"(|E| = {res.evans_residual:.3g}, {res.iterations} iterations)")
     return 0
 
 
 def _cmd_backlund(args) -> int:
-    t0 = time.perf_counter()
-    p = _Params(args)
-    field_path = p.value("field", required=True)
-    lam = complex(p.value("lambda_re", required=True),
-                  p.value("lambda_im", required=True))
-    direction = p.value("direction")
-    out = _resolve_out(p.value("out", required=True))
+    run = _Run(args)
+    field_path = run.value("field", required=True)
+    lam = complex(run.value("lambda_re", required=True),
+                  run.value("lambda_im", required=True))
+    direction = run.value("direction")
+    out = _resolve_out(run.value("out", required=True))
 
-    t_read = time.perf_counter()
-    f = read_field_csv(field_path)
     inputs = [field_path]
-    if direction == "down":
-        vec_path = p.value("eigenvector", required=True)
-        vec = read_lax_csv(vec_path)
-        inputs.append(vec_path)
-    t_backlund = time.perf_counter()
-    if direction == "down":
-        g = backlund_transform(f, vec, lam)
-    else:
-        a = p.value("a")
-        theta = p.value("theta")
-        t = p.value("t")
-        jost = solve_time_bvp(f, lam, t)
-        g = up_map(f, jost, a, theta)
-    t_write = time.perf_counter()
-    write_field_csv(g, out)
-    timings = {"read_s": t_backlund - t_read, "backlund_s": t_write - t_backlund,
-               "write_s": time.perf_counter() - t_write}
-    _write_manifest(out + ".manifest.json", "backlund", p.resolved, t0, inputs, [out],
-                    timings)
+    with run.stage("read_s"):
+        f = read_field_csv(field_path)
+        if direction == "down":
+            vec_path = run.value("eigenvector", required=True)
+            vec = read_lax_csv(vec_path)
+            inputs.append(vec_path)
+    with run.stage("backlund_s"):
+        if direction == "down":
+            g = backlund_transform(f, vec, lam)
+        else:
+            a, theta, t = run.value("a"), run.value("theta"), run.value("t")
+            g = up_map(f, solve_time_bvp(f, lam, t), a, theta)
+    with run.stage("write_s"):
+        write_field_csv(g, out)
+    run.finish(out + ".manifest.json", inputs, [out])
     print(f"backlund[{direction}]: wrote {out} (charge = {charge(g):.12g})")
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    t0 = time.perf_counter()
-    p = _Params(args)
-    field_path = p.value("field", required=True)
-    dt = p.value("dt", required=True)
-    t_end = p.value("t_end", required=True)
-    stride = p.value("stride")
-    prefix = _resolve_out(p.value("out_prefix"))
+    run = _Run(args)
+    field_path = run.value("field", required=True)
+    dt = run.value("dt", required=True)
+    t_end = run.value("t_end", required=True)
+    stride = run.value("stride")
+    prefix = _resolve_out(run.value("out_prefix"))
 
     f = read_field_csv(field_path)
     # all before snapshot 0 is written
@@ -314,40 +306,34 @@ def _cmd_evolve(args) -> int:
     n_steps = step_count(t_end, dt)
     series: list[tuple[float, float]] = []
     outputs: list[str] = []
-    evolve_s = write_s = 0.0
     k_prev = 0
     for k in (*range(0, n_steps, stride), n_steps):    # t = 0, then each span's end
-        if k > k_prev:
-            t_evolve = time.perf_counter()
-            f = evolve(f, k - k_prev if dt > 0 else k_prev - k)
-            evolve_s += time.perf_counter() - t_evolve
-            k_prev = k
+        with run.stage("evolve_s"):     # entered at k = 0 too, so a run of no step has the key
+            if k > k_prev:
+                f = evolve(f, k - k_prev if dt > 0 else k_prev - k)
+                k_prev = k
         path = f"{prefix}{len(series):04d}.csv"
-        t_write = time.perf_counter()
-        write_field_csv(f, path)
-        write_s += time.perf_counter() - t_write
+        with run.stage("write_s"):
+            write_field_csv(f, path)
         outputs.append(path)
         # the field steps by dx, which --dt may miss by 1e-12 relative; k = 0
         # writes 0, not -0
         series.append((k * math.copysign(f.grid.dx, dt) if k else 0.0, charge(f)))
-    t_series = time.perf_counter()
     series_path = f"{prefix}series.csv"
-    lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]
-    _atomic_write(series_path, ("\n".join(lines) + "\n").encode())
+    with run.stage("write_s"):
+        lines = ["t,charge"] + ["%.17g,%.17g" % row for row in series]
+        _atomic_write(series_path, ("\n".join(lines) + "\n").encode())
     outputs.append(series_path)
-    write_s += time.perf_counter() - t_series
-    _write_manifest(f"{prefix}manifest.json", "evolve", p.resolved, t0,
-                    [field_path], outputs, {"evolve_s": evolve_s, "write_s": write_s})
+    run.finish(f"{prefix}manifest.json", [field_path], outputs)
     drift = abs(series[-1][1] - series[0][1]) / max(series[0][1], 1e-300)
     print(f"evolve: {len(series) - 1} snapshots, relative charge drift {drift:.3e}")
     return 0
 
 
 def _cmd_stability(args) -> int:
-    t0 = time.perf_counter()
-    p = _Params(args)
-    gamma0 = p.value("gamma0", required=True)
-    epsilons = p.value("epsilon", required=True)
+    run = _Run(args)
+    gamma0 = run.value("gamma0", required=True)
+    epsilons = run.value("epsilon", required=True)
     if not epsilons:
         raise SystemExit2("--epsilon lists no value")
     for i, eps in enumerate(epsilons):
@@ -355,16 +341,17 @@ def _cmd_stability(args) -> int:
             raise SystemExit2(f"--epsilon lists {eps!r} twice")
     # built before the directory, so that a rejected parameter leaves none behind
     cfg = ExperimentConfig(gamma0=gamma0, epsilon=epsilons[0],
-                           perturbation_seed=p.value("seed"), t_end=p.value("t_end"),
-                           pipeline=p.value("pipeline"), perturbation_shape=p.value("shape"),
-                           grid=Grid.symmetric(p.value("grid_l"), p.value("grid_n")))
+                           perturbation_seed=run.value("seed"), t_end=run.value("t_end"),
+                           pipeline=run.value("pipeline"), perturbation_shape=run.value("shape"),
+                           grid=Grid.symmetric(run.value("grid_l"), run.value("grid_n")))
     for eps in epsilons[1:]:
         replace(cfg, epsilon=eps)       # checks the epsilon as the sweep will
-    out_dir = _resolve_out(p.value("out_dir"))
+    out_dir = _resolve_out(run.value("out_dir"))
     os.makedirs(out_dir, exist_ok=True)
     outputs: list[str] = []
     failed = False
-    sw = sweep(cfg, epsilons)
+    with run.stage("sweep_s"):
+        sw = sweep(cfg, epsilons)
     for row, res in zip(sw.rows, sw.results):
         if res is None:
             print(f"stability: eps={row.epsilon} {row.status}", file=sys.stderr)
@@ -386,15 +373,16 @@ def _cmd_stability(args) -> int:
             tag = tag if float(tag) == row.epsilon else repr(row.epsilon)
             tag = tag.replace(".", "p").replace("-", "m")
             rec_path = os.path.join(out_dir, f"records_eps{tag}.csv")
-        _atomic_write(rec_path, format_records_csv(res.records).encode())
+        with run.stage("write_s"):
+            _atomic_write(rec_path, format_records_csv(res.records).encode())
         outputs.append(rec_path)
     sum_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write(sum_path, format_summary_csv(sw).encode())
+    with run.stage("write_s"):
+        _atomic_write(sum_path, format_summary_csv(sw).encode())
     outputs.append(sum_path)
     if len(epsilons) > 1:
         print("stability sweep slopes:", json.dumps(sw.slopes, sort_keys=True))
-    _write_manifest(os.path.join(out_dir, "manifest.json"), "stability",
-                    p.resolved, t0, [], outputs)
+    run.finish(os.path.join(out_dir, "manifest.json"), [], outputs)
     return 1 if failed else 0
 
 

@@ -220,9 +220,9 @@ def _require_finite(w: np.ndarray) -> np.ndarray:
 
 
 def _carry(scans, sweep=_down_sweep):
-    """Both sides' reduced vectors from their (levels, init) by sweep, in grid order."""
-    (left, il), (right, ir) = scans
-    return _require_finite(sweep(left, il)), _require_finite(sweep(right, ir))[:, ::-1]
+    """Both reduced vectors by sweep, in grid order; the right is drawn after the left's sweep."""
+    scans = iter(scans)
+    return _require_finite(sweep(*next(scans))), _require_finite(sweep(*next(scans)))[:, ::-1]
 
 
 class _JostWorkspace:
@@ -258,42 +258,49 @@ class _JostWorkspace:
         self.e_right = unit_phase(2.0 * (acc[-1] - acc_nodes))
 
     def scans(self, lam: complex, toward_j0: bool):
-        """Up-sweep levels and init of the left and the right scan at lam.
+        """Up-sweep levels and init of the left, then the right scan at lam.
 
         Both cross the whole line, or with toward_j0 the left one cells
-        [0, j0) and the right one [j0, ncell).  The left one factors
-        exp(-x k1) off the solution recessive at -inf, takes the gauge from
-        the left edge and init (0, 1), and runs forward; the right one
-        factors exp(+x k1), takes the gauge from the right edge and init
-        (1, 0), and runs backward, so its transfers are reversed.  Re k1 > 0
-        swaps the envelopes.  The gauge frame's off-diagonal is p = a12 e,
-        q = a21 / e, with e the edge's node factor; L's (a12, a21) is formed
-        once on the whole line and both sides slice it.
+        [0, j0) and the right one [j0, ncell).  L's (a12, a21) is formed once
+        on the whole line and both sides slice it.  Each side's tree is built
+        when the iterator reaches it, so a caller that sweeps one side before
+        drawing the next holds one tree at a time.
         """
         k1 = SpectralParameter(lam).k1
         a12, a21 = _l_off_diagonal(self.u_nodes, self.v_nodes, lam)
         cells = (slice(0, self.j0), slice(self.j0, None)) if toward_j0 else (slice(None),) * 2
-        out = []
-        for forward, at, e in ((True, cells[0], self.e_left), (False, cells[1], self.e_right)):
-            p, q = a12[:, at] * e[:, at], a21[:, at] / e[:, at]
-            if forward != (k1.real > 0):
-                # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
-                d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
-            else:
-                # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
-                d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
-            nodes = [(d0, p[j], q[j], d1) for j in range(3)]
-            if forward:
-                transfers = _rk4_transfer(*nodes, self.grid.dx)
-            else:
-                transfers = [t[::-1] for t in _rk4_transfer(*nodes[::-1], -self.grid.dx)]
-            out.append((_up_sweep(transfers), init))
-        return out
+        return (self._scan(k1, a12[:, at], a21[:, at], e[:, at], forward)
+                for forward, at, e in ((True, cells[0], self.e_left),
+                                       (False, cells[1], self.e_right)))
+
+    def _scan(self, k1: complex, a12, a21, e, forward: bool):
+        """One side's (levels, init) from L's off-diagonal and the edge's node factor e.
+
+        The left side factors exp(-x k1) off the solution recessive at -inf,
+        takes the gauge from the left edge and init (0, 1), and runs forward;
+        the right one factors exp(+x k1), takes the gauge from the right edge
+        and init (1, 0), and runs backward, so its transfers are reversed.
+        Re k1 > 0 swaps the envelopes.  The gauge frame's off-diagonal is
+        p = a12 e, q = a21 / e.
+        """
+        p, q = a12 * e, a21 / e
+        if forward != (k1.real > 0):
+            # solution = envelope e^{-x k1} times w: w1' = 2 k1 w1 + p w2, w2' = q w1
+            d0, d1, init = 2.0 * k1, 0.0, (0.0, 1.0)
+        else:
+            # solution = envelope e^{+x k1} times w: w1' = p w2, w2' = -2 k1 w2 + q w1
+            d0, d1, init = 0.0, -2.0 * k1, (1.0, 0.0)
+        nodes = [(d0, p[j], q[j], d1) for j in range(3)]
+        if forward:
+            transfers = _rk4_transfer(*nodes, self.grid.dx)
+        else:
+            transfers = [t[::-1] for t in _rk4_transfer(*nodes[::-1], -self.grid.dx)]
+        return _up_sweep(transfers), init
 
     def _half_scans(self, lam: complex):
         """`scans(lam, toward_j0=True)`, kept for the latest lambda only."""
         if self._halves is None or self._halves[0] != lam:
-            self._halves = (lam, self.scans(lam, toward_j0=True))
+            self._halves = (lam, tuple(self.scans(lam, toward_j0=True)))
         return self._halves[1]
 
     def reduced(self, lam: complex):

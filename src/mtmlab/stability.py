@@ -275,14 +275,19 @@ def modulated_distance(f: SpinorField, p: SpectralParameter, t: float) -> Modula
     # the offset from a0: the bounded method's tolerance grows with |x|.
     # dist^2 is flat to rounding within ~1e-8 * dist of its minimum, and a
     # tolerance below that only adds golden-section steps.
+    # Brent returns a point it has evaluated, so its (dist, theta*) is kept.
     conj_f = np.conj(f.u), np.conj(f.v)
-    offset = _bounded_brent(lambda d: _orbit_distance(f, ev, t, a0 + d, conj_f)[0] ** 2,
-                            float(shifts[max(j - 1, 0)] - a0),
+    evaluated = {}
+
+    def dist_sq(d: float) -> float:
+        evaluated[d] = _orbit_distance(f, ev, t, a0 + d, conj_f)
+        return evaluated[d][0] ** 2
+
+    offset = _bounded_brent(dist_sq, float(shifts[max(j - 1, 0)] - a0),
                             float(shifts[min(j + 1, len(shifts) - 1)] - a0),
                             xatol=1e-10 + 3e-7 * float(dists[j]))
-    a_star = a0 + offset
-    dist, theta = _orbit_distance(f, ev, t, a_star, conj_f)
-    return ModulationFit(dist, float(a_star), float(theta))
+    dist, theta = evaluated[offset]
+    return ModulationFit(dist, float(a0 + offset), float(theta))
 
 
 # ---------------------------------------------------------------------------

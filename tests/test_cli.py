@@ -32,7 +32,7 @@ def test_soliton_subcommand(tmp_path):
     assert l2_norm_sq(f) == pytest.approx(2 * np.pi, abs=1e-8)
     man = read_manifest(tmp_path / "s.csv.manifest.json")
     assert man.subcommand == "soliton"
-    assert man.timings == {}
+    assert set(man.timings) == {"sample_s", "write_s"}
     assert man.outputs[str(out)] == file_digest(str(out))
 
 
@@ -135,8 +135,6 @@ def test_eigen_subcommand(tmp_path):
     man = read_manifest(f"{out_json}.manifest.json")
     assert man.outputs == {str(out_json): file_digest(str(out_json)),
                            str(out_vec): file_digest(str(out_vec))}
-    assert set(man.timings) == {"read_s", "eigen_s", "write_s"}
-    assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
 
 def test_backlund_down_and_up(tmp_path):
@@ -154,8 +152,6 @@ def test_backlund_down_and_up(tmp_path):
     assert l2_norm_sq(read_field_csv(str(down))) < 1e-12
     man = read_manifest(f"{down}.manifest.json")
     assert man.inputs == {str(field): file_digest(str(field)), str(vec): file_digest(str(vec))}
-    assert set(man.timings) == {"read_s", "backlund_s", "write_s"}
-    assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
 
     up = tmp_path / "rebuilt.csv"
     code = run(["backlund", "--field", str(down), "--direction", "up",
@@ -163,9 +159,6 @@ def test_backlund_down_and_up(tmp_path):
                 "--a", "0", "--theta", "0", "--out", str(up)])
     assert code == 0
     assert l2_norm_sq(read_field_csv(str(up))) == pytest.approx(2 * np.pi, abs=1e-4)
-    timings = read_manifest(f"{up}.manifest.json").timings
-    assert set(timings) == {"read_s", "backlund_s", "write_s"}
-    assert timings["backlund_s"] > 0.0
 
 
 def test_backlund_missing_eigenvector_is_usage_error(tmp_path):
@@ -191,11 +184,56 @@ def test_evolve_subcommand(tmp_path):
     snaps = sorted(p for p in os.listdir(tmp_path) if p.startswith("run_")
                    and p.endswith(".csv") and "series" not in p)
     assert len(snaps) == len(charges)
-    man = read_manifest(tmp_path / "run_manifest.json")
-    for path, digest in man.outputs.items():
-        assert file_digest(path) == digest
-    assert set(man.timings) == {"evolve_s", "write_s"}
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """Every subcommand run once at n = 1024, chained as in the README: run -> manifest path."""
+    d = tmp_path_factory.mktemp("walkthrough")
+    lam_args = ["--lambda-re", "0.7071067811865476", "--lambda-im", "0.7071067811865476"]
+    runs = {
+        "soliton": ["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", f"{d}/s.csv"],
+        "eigen": ["eigen", "--field", f"{d}/s.csv", "--guess-re", "0.72", "--guess-im", "0.70",
+                  "--out-json", f"{d}/e.json", "--out-eigenvector", f"{d}/v.csv"],
+        "backlund-down": ["backlund", "--field", f"{d}/s.csv", "--eigenvector", f"{d}/v.csv",
+                          *lam_args, "--out", f"{d}/small.csv"],
+        "backlund-up": ["backlund", "--field", f"{d}/small.csv", "--direction", "up",
+                        *lam_args, "--out", f"{d}/rebuilt.csv"],
+        "evolve": ["evolve", "--field", f"{d}/s.csv", "--dt", repr(60.0 / 1024),
+                   "--t-end", "0.5", "--stride", "4", "--out-prefix", f"{d}/run_"],
+        "evolve-no-step": ["evolve", "--field", f"{d}/s.csv", "--dt", repr(60.0 / 1024),
+                           "--t-end", "0.01", "--out-prefix", f"{d}/still_"],
+        "stability": ["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01,0.1",
+                      "--t-end", "1", "--pipeline", "direct", "--grid-n", "512",
+                      "--out-dir", f"{d}/exp"],
+    }
+    manifests = {"soliton": "s.csv.manifest.json", "eigen": "e.json.manifest.json",
+                 "backlund-down": "small.csv.manifest.json",
+                 "backlund-up": "rebuilt.csv.manifest.json", "evolve": "run_manifest.json",
+                 "evolve-no-step": "still_manifest.json", "stability": "exp/manifest.json"}
+    for name, argv in runs.items():
+        assert run(argv) == 0, name
+    return {name: d / path for name, path in manifests.items()}
+
+
+@pytest.mark.parametrize("name,timings", [
+    ("soliton", {"sample_s", "write_s"}),
+    ("eigen", {"read_s", "eigen_s", "write_s"}),
+    ("backlund-down", {"read_s", "backlund_s", "write_s"}),
+    ("backlund-up", {"read_s", "backlund_s", "write_s"}),
+    ("evolve", {"evolve_s", "write_s"}),
+    ("evolve-no-step", {"evolve_s", "write_s"}),
+    ("stability", {"sweep_s", "write_s"}),
+])
+def test_manifest_records_stages_and_digests(walkthrough, name, timings):
+    """Each subcommand's manifest: its name, its stage times inside its wall time, true digests."""
+    man = read_manifest(walkthrough[name])
+    assert man.subcommand == name.split("-")[0]
+    assert set(man.timings) == timings
     assert all(0.0 < t < man.wall_time_s for t in man.timings.values())
+    assert man.outputs
+    for path, digest in {**man.inputs, **man.outputs}.items():
+        assert file_digest(path) == digest
 
 
 @pytest.mark.parametrize("dt,t_end,stride,message", [

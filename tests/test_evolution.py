@@ -174,6 +174,11 @@ def test_small_data_sup_norm_stays_bounded(grid):
     assert peak <= 2 * s0
 
 
+def test_zero_steps_return_the_input(grid_small):
+    f = SpinorField.zero(grid_small)
+    assert evolve(f, 0) is f
+
+
 @pytest.mark.parametrize("steps", (1.0, 2.5, "1", None))
 def test_step_count_must_be_an_integer(grid_small, steps):
     with pytest.raises(ParameterError, match="steps must be an integer"):

@@ -147,16 +147,26 @@ def test_shift_is_a_local_minimum(grid, case):
 
 @pytest.mark.parametrize("case", [_phase_convention_field, _shifted_soliton])
 def test_orbit_distance_evaluations_per_call(monkeypatch, grid, case):
+    """One orbit evaluation per Brent evaluation: the refined shift's is kept, not redone."""
     f, t = case(grid)
-    calls = []
+    calls, brent_evals = [], []
+    brent = stability._bounded_brent
 
     def counted(*args):
         calls.append(args)
         return _orbit_distance(*args)
 
+    def counted_brent(fun, lo, hi, xatol):
+        def counted_fun(x):
+            brent_evals.append(x)
+            return fun(x)
+        return brent(counted_fun, lo, hi, xatol)
+
     monkeypatch.setattr(stability, "_orbit_distance", counted)
+    monkeypatch.setattr(stability, "_bounded_brent", counted_brent)
     modulated_distance(f, P0, t)
     assert 0 < len(calls) <= 20
+    assert len(calls) == len(brent_evals)
 
 
 @pytest.fixture(scope="module")
