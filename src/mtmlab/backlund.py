@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateVectorError, GridMismatchError
 from .fields import SpinorField, d_dx, integrate
 from .lax import EigenResult, JostPair, assemble_L
-from .solitons import SpectralParameter, require_gamma
+from .solitons import SpectralParameter, require_finite, require_gamma
 
 #: below this pointwise mass |phi1|^2+|phi2|^2 a Lax vector sample counts as
 #: vanished (a true solution that vanishes anywhere vanishes identically)
@@ -28,13 +28,19 @@ DEGENERATE_FLOOR = 1e-280
 CANCELLATION_RTOL = 64 * 2.0 ** -52
 
 
-def _denominator(phi: SpinorField, gamma: float) -> tuple[complex, np.ndarray]:
-    """(half, dp) = (e^{i g/2}, half|phi1|^2 + conj(half)|phi2|^2) unless phi vanishes."""
+def _masses(phi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
+    """(|phi1|^2, |phi2|^2); DegenerateVectorError where their sum is below DEGENERATE_FLOOR."""
     p1 = np.abs(phi.u) ** 2
     p2 = np.abs(phi.v) ** 2
     if (p1 + p2).min() < DEGENERATE_FLOOR:
         raise DegenerateVectorError(
             "Lax vector (numerically) vanishes at a grid sample; refusing to divide")
+    return p1, p2
+
+
+def _denominator(phi: SpinorField, gamma: float) -> tuple[complex, np.ndarray]:
+    """(half, dp) = (e^{i g/2}, half|phi1|^2 + conj(half)|phi2|^2) unless phi vanishes."""
+    p1, p2 = _masses(phi)
     half = np.exp(0.5j * gamma)
     return half, half * p1 + np.conj(half) * p2
 
@@ -81,50 +87,30 @@ def pushforward_eigenvector(phi: SpinorField, gamma: float) -> SpinorField:
 
 
 # ---------------------------------------------------------------------------
-# Riccati variable
+# Riccati check
 # ---------------------------------------------------------------------------
-
-def _riccati_variable(phi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, valid): Gamma = phi1/phi2 where |phi2| >= 1e-300, 0 elsewhere."""
-    valid = np.abs(phi.v) >= 1e-300
-    gam = np.divide(phi.u, phi.v, out=np.zeros(phi.grid.n, dtype=np.complex128), where=valid)
-    return gam, valid
-
 
 def riccati_residual(phi: SpinorField, f: SpinorField, lam: complex) -> float:
     """Scale-invariant L2 residual of the spatial Riccati equation.
 
-    The Lax vector's Riccati variable Gamma = phi1/phi2 solves Gamma_x =
-    A Gamma + B + C Gamma^2, with A = 2 a11, B = a12 and C = -a21 from the
-    spatial Lax operator `assemble_L`.  Where
-    |Gamma| > 1 the stencil is taken on 1/Gamma instead, which solves
-    (1/Gamma)_x = -A/Gamma - C - B/Gamma^2 and stays smooth through a pole
-    of Gamma.  The raw residual of the variable used is divided by
-    1 + |variable|^2 (the chordal metric on the Riemann sphere), which makes
-    the check meaningful on the exponentially large/small tails, gives the
-    same value for either variable, and is invariant under the Backlund
-    companion map Gamma -> 1/conj(Gamma) (that of `pushforward_eigenvector`).
-    The two samples on each boundary (no centered stencil) and every sample
-    whose stencil touches one with |phi2| < 1e-300 are excluded.
+    The Riccati variable Gamma = phi1/phi2 solves Gamma_x = A Gamma + B +
+    C Gamma^2, with A = 2 a11, B = a12 and C = -a21 from `assemble_L`.  Its
+    residual over 1 + |Gamma|^2 (the chordal metric on the Riemann sphere)
+    is |phi2 r1 - phi1 r2| / (|phi1|^2 + |phi2|^2) with r = phi_x - L phi,
+    the form taken here: it has no pole where phi2 vanishes, and it is
+    invariant under phi -> c(x) phi for nonvanishing c and under the
+    companion map Gamma -> 1/conj(Gamma) of `pushforward_eigenvector`.  The
+    two samples on each boundary (no centered stencil) are left out; a phi
+    that (numerically) vanishes anywhere is a DegenerateVectorError.
     """
     if phi.grid != f.grid:
         raise GridMismatchError("Lax vector and background live on different grids")
     op = assemble_L(f, lam)
-    a, b, c = 2.0 * op.a11, op.a12, -op.a21
-    gam, valid = _riccati_variable(phi)
-    big = np.abs(gam) > 1.0
-    inv = np.divide(1.0, gam, out=np.zeros_like(gam), where=gam != 0)
-    w = np.where(big, inv, gam)
-    dw = np.where(big, d_dx(inv, phi.grid), d_dx(gam, phi.grid))
-    rhs = np.where(big, -(a * w + c + b * w ** 2), a * w + b + c * w ** 2)
-    resid = np.abs(dw - rhs) / (1.0 + np.abs(w) ** 2)
-    mask = valid.copy()
-    mask[:2] = mask[-2:] = False
-    # a 4th-order stencil touching an invalid sample is itself invalid
-    bad = ~valid
-    for shift in (-2, -1, 1, 2):
-        mask &= ~np.roll(bad, shift)
-    return float(np.sqrt(integrate(np.where(mask, resid ** 2, 0.0), phi.grid).real))
+    p1, p2 = _masses(phi)
+    r1 = d_dx(phi.u, phi.grid) - op.a11 * phi.u - op.a12 * phi.v
+    r2 = d_dx(phi.v, phi.grid) - op.a21 * phi.u - op.a22 * phi.v
+    resid = (np.abs(phi.v * r1 - phi.u * r2) / (p1 + p2))[2:-2]
+    return float(np.sqrt(integrate(resid ** 2, phi.grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +130,7 @@ def _superpose(f_t: SpinorField, jost: JostPair, a: float, theta: float):
     """(c1, c2, c1 R + c2 L) with c1 = e^{(a + i theta)/2}, c2 = 1/c1."""
     if f_t.grid != jost.left.grid:
         raise GridMismatchError("field and Jost pair live on different grids")
-    c1 = np.exp(0.5 * (a + 1j * theta))
+    c1 = np.exp(0.5 * (require_finite("a", a) + 1j * require_finite("theta", theta)))
     c2 = 1.0 / c1
     phi = SpinorField(f_t.grid,
                       c1 * jost.right.u + c2 * jost.left.u,

@@ -51,6 +51,7 @@ from .fields import (
 from .solitons import (  # noqa: F401  (csech stays a module attribute bench/tracing.py counts)
     SpectralParameter,
     csech,
+    require_finite,
     require_gamma,
     require_lambda,
     soliton_eigenvector,
@@ -647,6 +648,7 @@ def solve_time_bvp(f_t: SpinorField, lam: complex, t: float) -> JostPair:
     the right edge.
     """
     p = SpectralParameter(complex(lam))
+    require_finite("t", t)
     k1, k2 = p.k1, p.k2
     if k1.real >= 0:
         raise ParameterError("time BVP boundary phases require arg(lambda) in (0, pi/2)")

@@ -20,6 +20,7 @@ delta = 1 member to the delta member of the same gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,10 +56,10 @@ def csech(z: np.ndarray) -> np.ndarray:
 
 
 def require_lambda(lam) -> complex:
-    """lam as a complex number; ParameterError unless it is nonzero."""
+    """lam as a complex number; ParameterError unless it is finite and nonzero."""
     lam = complex(lam)
-    if lam == 0:
-        raise ParameterError("spectral parameter lambda must be nonzero")
+    if lam == 0 or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ParameterError(f"spectral parameter lambda must be finite and nonzero, got {lam}")
     return lam
 
 
@@ -67,6 +68,13 @@ def require_gamma(gamma: float) -> float:
     if not 0.0 < gamma < np.pi:
         raise ParameterError(f"gamma must lie in (0, pi), got {gamma}")
     return gamma
+
+
+def require_finite(name: str, x: float) -> float:
+    """x itself; ParameterError naming it unless it is finite."""
+    if not math.isfinite(x):
+        raise ParameterError(f"{name} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,7 @@ class SpectralParameter:
 def soliton_evaluator(p: SpectralParameter, a: float = 0.0, theta: float = 0.0):
     """Exact one-soliton solution, shifted by a and gauge-rotated by theta, as (x, t) -> (u, v)."""
     require_gamma(p.gamma)
+    a, theta = require_finite("a", a), require_finite("theta", theta)
     s, d, al, be, nu, g = np.sin(p.gamma), p.delta, p.alpha, p.beta, p.nu, p.gamma
 
     def ev(x, t):
@@ -198,7 +207,7 @@ def sample_spinor(evaluator, t: float, grid: Grid) -> SpinorField:
 def soliton_field(p: SpectralParameter, t: float, grid: Grid,
                   a: float = 0.0, theta: float = 0.0) -> SpinorField:
     """Sample the orbit point (a, theta) of the exact one-soliton solution at time t."""
-    return sample_spinor(soliton_evaluator(p, a, theta), t, grid)
+    return sample_spinor(soliton_evaluator(p, a, theta), require_finite("t", t), grid)
 
 
 def free_lax_vector(p: SpectralParameter, t: float, grid: Grid) -> SpinorField:

@@ -16,7 +16,9 @@ and Strang segment (np.roll transport) that the in-place segment replaced,
 the per-row CSV formatter that the one-pass writer replaced (adapted to
 emit the grid line the snapshots gained later), and the three-exponential
 soliton evaluator (a csech each for u and v, the phase from np.exp) that
-the one-csech evaluator replaced.
+the one-csech evaluator replaced, and the chordal Riccati residual taken on
+Gamma = phi1/phi2 that the projective Riccati residual replaced (without
+its switch to 1/Gamma near a pole).
 It also holds the perturbed-soliton family the property tests draw from.
 """
 
@@ -157,6 +159,20 @@ def spatial_residual(op: LaxOperatorSample, vec: SpinorField, trim: int = 2) -> 
         r1 = r1[trim:-trim]
         r2 = r2[trim:-trim]
     return float(np.sqrt(op.grid.dx * np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
+
+
+def chordal_riccati_residual(phi: SpinorField, f: SpinorField, lam: complex) -> float:
+    """L2 norm of |Gamma_x - (A Gamma + B + C Gamma^2)| / (1 + |Gamma|^2), Gamma = phi1/phi2.
+
+    A = 2 a11, B = a12 and C = -a21 from `assemble_L`; Gamma_x is d_dx of
+    the quotient, so phi2 must not vanish.  The two samples on each boundary
+    are left out.
+    """
+    op = assemble_L(f, lam)
+    gam = phi.u / phi.v
+    rhs = 2.0 * op.a11 * gam + op.a12 - op.a21 * gam ** 2
+    resid = (np.abs(d_dx(gam, phi.grid) - rhs) / (1.0 + np.abs(gam) ** 2))[2:-2]
+    return float(np.sqrt(phi.grid.dx * np.sum(resid ** 2)))
 
 
 def sup_norm(f: SpinorField) -> float:

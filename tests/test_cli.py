@@ -12,7 +12,7 @@ from mtmlab.fields import Grid, SpinorField, l2_norm_sq, read_field_csv, write_f
 from mtmlab.lax import EVANS_TOL, MAX_SECANT_ITERATIONS
 from mtmlab.solitons import SpectralParameter, soliton_field
 
-from helpers import read_manifest
+from helpers import polar, read_manifest
 from oracles import allocating_trajectory, bumped_soliton
 
 
@@ -310,22 +310,50 @@ def test_evolve_times_are_steps_of_dx(tmp_path):
     assert float(series[-1].split(",")[0]) == 0.9375
 
 
-def test_non_finite_inputs_are_typed_errors(tmp_path, capsys):
-    field = tmp_path / "s.csv"
-    run(["soliton", "--gamma", str(GAMMA), "--grid-n", "1024", "--out", str(field)])
-    capsys.readouterr()
-    code = run(["evolve", "--field", str(field), "--dt", repr(60.0 / 1024), "--t-end", "inf",
-                "--out-prefix", str(tmp_path / "x_")])
-    assert code == 1
-    assert "error: ParameterError" in capsys.readouterr().err
-    code = run(["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01", "--t-end", "inf",
-                "--grid-n", "1024", "--out-dir", str(tmp_path / "exp")])
-    assert code == 1
-    assert "error: ParameterError" in capsys.readouterr().err
-    code = run(["soliton", "--gamma", str(GAMMA), "--grid-l", "nan",
-                "--out", str(tmp_path / "nan.csv")])
-    assert code == 1
-    assert "error: FieldValidationError: grid bounds" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def soliton_1024(tmp_path_factory):
+    path = tmp_path_factory.mktemp("field") / "s.csv"
+    write_field_csv(soliton_field(polar(GAMMA), 0.0, Grid.symmetric(30.0, 1024)), str(path))
+    return str(path)
+
+
+_UP = ["backlund", "--direction", "up", "--lambda-im", "0.7"]
+
+
+@pytest.mark.parametrize("args,error", [
+    (["evolve", "--dt", repr(60.0 / 1024), "--t-end", "inf", "--out-prefix", "x_"],
+     "ParameterError: t_end must be finite"),
+    (["stability", "--gamma0", str(GAMMA), "--epsilon", "0.01", "--t-end", "inf",
+      "--grid-n", "1024", "--out-dir", "exp"], "ParameterError: t_end must be finite"),
+    (["soliton", "--gamma", str(GAMMA), "--grid-l", "nan", "--out", "nan.csv"],
+     "FieldValidationError: grid bounds"),
+    (["soliton", "--gamma", "1.0", "--a", "inf", "--out", "o.csv"], "ParameterError: a must be finite"),
+    (["soliton", "--gamma", "1.0", "--a", "nan", "--out", "o.csv"], "ParameterError: a must be finite"),
+    (["soliton", "--gamma", "1.0", "--theta", "inf", "--out", "o.csv"],
+     "ParameterError: theta must be finite"),
+    (["soliton", "--gamma", "1.0", "--t", "inf", "--out", "o.csv"], "ParameterError: t must be finite"),
+    (["eigen", "--guess-re", "nan", "--guess-im", "0.7", "--out-json", "e.json",
+      "--out-eigenvector", "e.csv"], "ParameterError: spectral parameter lambda must be finite"),
+    (["eigen", "--guess-re", "0.7", "--guess-im", "inf", "--out-json", "e.json",
+      "--out-eigenvector", "e.csv"], "ParameterError: spectral parameter lambda must be finite"),
+    ([*_UP, "--lambda-re", "inf", "--out", "o.csv"],
+     "ParameterError: spectral parameter lambda must be finite"),
+    ([*_UP, "--lambda-re", "0.7", "--a", "inf", "--out", "o.csv"],
+     "ParameterError: a must be finite"),
+    ([*_UP, "--lambda-re", "0.7", "--t", "nan", "--out", "o.csv"],
+     "ParameterError: t must be finite"),
+], ids=["evolve-t_end", "stability-t_end", "soliton-grid_l", "soliton-a_inf", "soliton-a_nan",
+        "soliton-theta", "soliton-t", "eigen-guess_re", "eigen-guess_im", "backlund-lambda_re",
+        "backlund-a", "backlund-t"])
+def test_non_finite_inputs_are_typed_errors(tmp_path, monkeypatch, capsys, soliton_1024,
+                                            args, error):
+    """A non-finite scalar exits 1 with the typed error naming it, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    if args[0] in ("eigen", "backlund", "evolve"):
+        args = [args[0], "--field", soliton_1024, *args[1:]]
+    assert run(args) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_empty_epsilon_list_is_usage_error(tmp_path, capsys):

@@ -299,6 +299,19 @@ def test_csv_writer_redraws_a_taken_temporary_name(tmp_path, grid_small, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "tmp00000000.tmp"]
 
 
+def test_csv_writer_gives_up_when_every_temporary_name_is_taken(tmp_path, grid_small,
+                                                                 monkeypatch):
+    taken = tmp_path / "tmp00000000.tmp"
+    taken.write_bytes(b"kept")
+    draws = []
+    monkeypatch.setattr("os.urandom", lambda n: draws.append(n) or b"\0" * n)
+    with pytest.raises(FileExistsError, match="no free temporary file name in"):
+        write_field_csv(SpinorField.zero(grid_small), str(tmp_path / "f.csv"))
+    assert len(draws) == 16
+    assert taken.read_bytes() == b"kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["tmp00000000.tmp"]
+
+
 def test_failed_write_removes_its_temporary_file(tmp_path, grid_small):
     """The rename onto a directory fails; the temporary file beside it is removed."""
     target = tmp_path / "taken"

@@ -490,6 +490,12 @@ def test_find_eigenvalue_fails_without_convergence(grid_small, monkeypatch):
         find_eigenvalue(f, 1.05 * LAM0)
 
 
+def test_find_eigenvalue_rejects_a_non_finite_guess(grid_small):
+    f = soliton_field(polar(np.pi / 2), 0.0, grid_small)
+    with pytest.raises(ParameterError, match="lambda must be finite"):
+        find_eigenvalue(f, complex("nan+0.7j"))
+
+
 def test_time_bvp_rejects_lambda_outside_the_first_quadrant(grid_small):
     f = soliton_field(polar(np.pi / 2), 0.0, grid_small)
     with pytest.raises(ParameterError, match="require arg"):
